@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .numcore import Tape, Tensor
+from .models import posteriors
+from .numcore import Tape
 from .numcore import ops
 from .numcore.optim import AdamState, adam_step
 
@@ -81,7 +82,7 @@ def _feature_rows(target, ds: LabeledSet, mode: str) -> np.ndarray:
     c = target.spec.classes
     labels = _onehot(ds.y, c)
     if mode == "blackbox":
-        probs = _posteriors(target, ds.x)
+        probs = posteriors(target, ds.x)
         return np.concatenate([probs, labels], axis=1)
     probs, hidden = target.penultimate(ds.x)
     rows = np.arange(len(ds))
@@ -90,13 +91,6 @@ def _feature_rows(target, ds: LabeledSet, mode: str) -> np.ndarray:
     dz = probs - labels
     grad_w = np.einsum("nc,nh->nch", dz, hidden).reshape(len(ds), -1)
     return np.concatenate([probs, labels, loss, grad_w, dz], axis=1)
-
-
-def _posteriors(target, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    outs = []
-    for start in range(0, x.shape[0], chunk):
-        outs.append(target(x[start:start + chunk]).data)
-    return np.concatenate(outs, axis=0)
 
 
 def extract_examples(target, splits: AttackSplits,
@@ -133,7 +127,7 @@ def _class_stream(idx: np.ndarray, need: int,
     return np.concatenate(parts)
 
 
-def train_attacker(attacker, examples: AttackExamples, epochs: int = 100,
+def train_attacker(attacker, examples: AttackExamples, epochs: int,
                    rng: np.random.Generator | None = None,
                    learning_rate: float = 0.001, batch_hook=None):
     """Train the attacker on balanced 64+64 member/non-member batches."""
@@ -167,8 +161,7 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int = 100,
     return attacker
 
 
-def finetune_attacker(attacker, candidate, splits: AttackSplits,
-                      epochs: int = 5,
+def finetune_attacker(attacker, candidate, splits: AttackSplits, epochs: int,
                       rng: np.random.Generator | None = None):
     """Copy the attacker and adapt the copy to one candidate model.
 
@@ -182,14 +175,9 @@ def finetune_attacker(attacker, candidate, splits: AttackSplits,
     return train_attacker(tuned, attack_train, epochs=epochs, rng=rng)
 
 
-def attack_outputs(attacker, features: np.ndarray,
-                   chunk: int = 1024) -> np.ndarray:
+def attack_outputs(attacker, features: np.ndarray) -> np.ndarray:
     """Attacker membership probabilities, computed without recording a graph."""
-    outs = []
-    for start in range(0, features.shape[0], chunk):
-        out = attacker(features[start:start + chunk])
-        outs.append(out.data if isinstance(out, Tensor) else np.asarray(out))
-    return np.concatenate(outs)
+    return posteriors(attacker, features)
 
 
 def balanced_accuracy(outputs: np.ndarray, membership: np.ndarray) -> float:

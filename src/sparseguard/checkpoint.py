@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,17 +35,6 @@ class Checkpoint:
     spec_digest: str
 
 
-def _spec_doc(spec: TargetSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "input_shape": list(spec.input_shape),
-        "classes": spec.classes,
-        "hidden": list(spec.hidden),
-        "channels": list(spec.channels),
-        "kernel": spec.kernel,
-    }
-
-
 def _digest(spec_doc: dict, omega: float) -> str:
     blob = json.dumps({"target": spec_doc, "omega": omega},
                       sort_keys=True).encode("utf-8")
@@ -53,7 +43,7 @@ def _digest(spec_doc: dict, omega: float) -> str:
 
 def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
                     dataset: dict, attacker_mode: str) -> None:
-    spec_doc = _spec_doc(model.spec)
+    spec_doc = asdict(model.spec)
     params = model.params()
     masks = [layer.mask for layer in model.masked_layers()]
     omega = float(model.omega)
@@ -72,16 +62,24 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
         "spec_digest": _digest(spec_doc, omega),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-        for m in masks:
-            bits = np.packbits(m.astype(np.uint8).reshape(-1),
-                               bitorder="little")
-            fh.write(bits.tobytes())
+    # write a sibling and rename it over the target, so a crash mid-write
+    # leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for p in params:
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            for m in masks:
+                bits = np.packbits(m.astype(np.uint8).reshape(-1),
+                                   bitorder="little")
+                fh.write(bits.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -104,12 +102,7 @@ def load_checkpoint(path) -> Checkpoint:
         spec_doc = header["target"]
         if header["spec_digest"] != _digest(spec_doc, header["omega"]):
             raise ValueError("checkpoint header digest mismatch")
-        spec = TargetSpec(kind=spec_doc["kind"],
-                          input_shape=tuple(spec_doc["input_shape"]),
-                          classes=spec_doc["classes"],
-                          hidden=tuple(spec_doc["hidden"]),
-                          channels=tuple(spec_doc["channels"]),
-                          kernel=spec_doc["kernel"])
+        spec = TargetSpec(**spec_doc)
         # build at full density (always feasible), then overwrite everything
         model = build_target(spec, 1.0, np.random.default_rng(0))
         params = model.params()

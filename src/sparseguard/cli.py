@@ -8,8 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gradcheck as gradcheck_mod
 from .attack import (
     MODES,
@@ -23,13 +21,8 @@ from .attack import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, to_run_config, with_overrides
 from .data import load_dataset
-from .models import (
-    AttackerSpec,
-    build_blackbox_attacker,
-    build_whitebox_attacker,
-    last_layer_gradient_length,
-)
-from .orchestrator import _RngTree, run_compression
+from .models import build_attacker
+from .orchestrator import RngTree, check_dataset_fits, run_compression
 from .report import pretty_table, read_report, summary_record, write_record
 
 
@@ -41,17 +34,14 @@ def _fail(message: str, code: int) -> int:
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    config = with_overrides(config, seed=args.seed,
-                            deterministic=True if args.deterministic else None,
-                            out_dir=args.out_dir)
-    try:
+        config = with_overrides(
+            config, seed=args.seed,
+            deterministic=True if args.deterministic else None,
+            out_dir=args.out_dir)
         run_config = to_run_config(config)
         datasets = load_dataset(config.dataset)
-    except ValueError as exc:
+        check_dataset_fits(run_config.target, datasets)
+    except (OSError, TypeError, ValueError) as exc:
         return _fail(str(exc), 2)
 
     out_dir = Path(config.out_dir)
@@ -105,20 +95,12 @@ def cmd_attack_eval(args) -> int:
         return _fail(str(exc), 2)
 
     seed = ckpt.seed if args.seed is None else args.seed
-    seq = _RngTree(seed)
+    seq = RngTree(seed)
     rng_split = seq.next()  # first spawn: matches the run's split stream
     try:
         splits = split_for_attack(train_set, test_set, rng_split)
         examples, attack_eval = extract_examples(ckpt.model, splits, mode)
-        if mode == "blackbox":
-            spec = AttackerSpec(mode="blackbox",
-                                classes=ckpt.model.spec.classes)
-            attacker = build_blackbox_attacker(spec, seq.next())
-        else:
-            spec = AttackerSpec(
-                mode="whitebox", classes=ckpt.model.spec.classes,
-                grad_len=last_layer_gradient_length(ckpt.model))
-            attacker = build_whitebox_attacker(spec, seq.next())
+        attacker = build_attacker(mode, ckpt.model, seq.next())
         train_attacker(attacker, examples, epochs=args.attacker_epochs,
                        rng=seq.next())
         acc = mia_accuracy(attacker, ckpt.model, splits)
@@ -180,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--deterministic", action="store_true",
-                       help="force deterministic sequential execution")
+                       help="record wall_time_s as 0 so reruns are "
+                            "byte-identical")
     run_p.add_argument("--out-dir", default=None,
                        help="override the config output directory")
     run_p.set_defaults(func=cmd_run)

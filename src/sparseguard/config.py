@@ -9,49 +9,36 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, field, fields, make_dataclass
 
 from .models import TargetSpec
 from .orchestrator import RunConfig
 from .sparse import ALL_PAIRS, StrategyPair
 
 DEFAULT_PAIR_TAGS = tuple(p.tag() for p in ALL_PAIRS)
-REQUIRED_FIELDS = ("omega", "dataset", "target")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    omega: float
-    dataset: dict
-    target: dict
-    pairs: tuple = DEFAULT_PAIR_TAGS
-    inner_iterations: int = 4000
-    batch_size: int = 128
-    candidate_finetune_epochs: float = 1.0
-    total_epochs: float = 10.0
-    variant: str = "none"
-    beta: float = 0.1
-    lam: float = 1.0
-    learning_rate: float = 0.1
-    lr_milestones: tuple = (0.5, 0.75)
-    lr_decay: float = 0.1
-    attacker_mode: str = "blackbox"
-    attacker_epochs_first: int = 100
-    attacker_epochs_topup: int = 20
-    attacker_finetune_epochs: int = 5
-    attacker_learning_rate: float = 0.001
-    prune_rate_start: float = 0.2
-    prune_rate_end: float = 0.02
-    tau: float | None = None
-    validation_fraction: float = 0.2
-    probe_size: int = 512
-    early_stop: bool = False
-    early_stop_delta: float = 0.005
-    early_stop_patience: int = 3
-    seed: int = 0
-    deterministic: bool = True
-    out_dir: str = "runs"
+def _document_fields() -> list:
+    """RunConfig's fields as the document spells them (`target` as a JSON
+    object, `pairs` as strategy tags), plus the dataset descriptor and the
+    output directory. The required fields come out as omega, dataset,
+    target: the order in which a missing one is reported."""
+    out = []
+    for f in fields(RunConfig):
+        kind, default = f.type, f.default
+        if f.name == "target":
+            out.append(("dataset", dict))
+            kind = dict
+        elif f.name == "pairs":
+            kind, default = tuple, DEFAULT_PAIR_TAGS
+        out.append((f.name, kind, field(default=default)))
+    return out + [("out_dir", str, field(default="runs"))]
 
+
+ExperimentConfig = make_dataclass("ExperimentConfig", _document_fields(),
+                                  frozen=True)
+REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
+                        if f.default is MISSING)
 
 _TUPLE_FIELDS = {"pairs", "lr_milestones"}
 
@@ -121,36 +108,10 @@ def target_spec_from(doc: dict) -> TargetSpec:
 
 def to_run_config(config: ExperimentConfig) -> RunConfig:
     """Translate the parsed document into the orchestrator's RunConfig."""
-    return RunConfig(
-        omega=config.omega,
-        target=target_spec_from(config.target),
-        pairs=tuple(parse_pair_tag(t) for t in config.pairs),
-        inner_iterations=config.inner_iterations,
-        batch_size=config.batch_size,
-        candidate_finetune_epochs=config.candidate_finetune_epochs,
-        total_epochs=config.total_epochs,
-        variant=config.variant,
-        beta=config.beta,
-        lam=config.lam,
-        learning_rate=config.learning_rate,
-        lr_milestones=config.lr_milestones,
-        lr_decay=config.lr_decay,
-        attacker_mode=config.attacker_mode,
-        attacker_epochs_first=config.attacker_epochs_first,
-        attacker_epochs_topup=config.attacker_epochs_topup,
-        attacker_finetune_epochs=config.attacker_finetune_epochs,
-        attacker_learning_rate=config.attacker_learning_rate,
-        prune_rate_start=config.prune_rate_start,
-        prune_rate_end=config.prune_rate_end,
-        tau=config.tau,
-        validation_fraction=config.validation_fraction,
-        probe_size=config.probe_size,
-        early_stop=config.early_stop,
-        early_stop_delta=config.early_stop_delta,
-        early_stop_patience=config.early_stop_patience,
-        seed=config.seed,
-        deterministic=config.deterministic,
-    )
+    values = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    values["target"] = target_spec_from(config.target)
+    values["pairs"] = tuple(parse_pair_tag(t) for t in config.pairs)
+    return RunConfig(**values)
 
 
 def with_overrides(config: ExperimentConfig, *, seed=None, deterministic=None,

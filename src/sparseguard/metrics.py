@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import posteriors
 from .numcore import Tensor, ops
 
 VARIANTS = ("none", "re1", "re2")
@@ -16,7 +17,6 @@ VARIANTS = ("none", "re1", "re2")
 @dataclass
 class EntropyConfig:
     beta: float = 0.1
-    batch_size: int = 128
     variant: str = "none"
 
     def __post_init__(self):
@@ -78,10 +78,8 @@ def task_accuracy(model, dataset) -> float:
     x, y = _unpack(dataset)
     if len(x) == 0:
         raise ValueError("dataset is empty")
-    preds = []
-    for i in range(0, len(x), 1024):
-        preds.append(model(x[i:i + 1024]).data.argmax(axis=1))
-    return float(np.mean(np.concatenate(preds) == np.asarray(y)))
+    preds = posteriors(model, x).argmax(axis=1)
+    return float(np.mean(preds == np.asarray(y)))
 
 
 def tm_score(pair: ScorePair) -> float:

@@ -135,8 +135,9 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
     return model
 
 
-def posteriors(model: SparseModel, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Batched inference outside any tape."""
+def posteriors(model, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    """Batched inference outside any tape, for any model that maps an array
+    to a Tensor (targets and attackers alike)."""
     parts = [model(x[i:i + chunk]).data for i in range(0, len(x), chunk)]
     return np.concatenate(parts, axis=0)
 
@@ -264,3 +265,15 @@ def build_whitebox_attacker(spec: AttackerSpec, rng: np.random.Generator) -> Whi
     if spec.mode != "whitebox":
         raise ValueError("spec mode must be whitebox")
     return WhiteboxAttacker(spec, rng)
+
+
+def build_attacker(mode: str, target: SparseModel,
+                   rng: np.random.Generator):
+    """The attacker of the given mode, sized for the target's classes (and,
+    in white-box mode, for its last-layer gradient)."""
+    if mode == "blackbox":
+        return build_blackbox_attacker(
+            AttackerSpec(mode="blackbox", classes=target.spec.classes), rng)
+    spec = AttackerSpec(mode=mode, classes=target.spec.classes,
+                        grad_len=last_layer_gradient_length(target))
+    return build_whitebox_attacker(spec, rng)

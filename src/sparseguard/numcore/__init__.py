@@ -9,9 +9,7 @@ from .tensor import (
     Tensor,
     active_tape,
     as_tensor,
-    backward,
     check_finite,
-    forward,
 )
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "Tensor",
     "active_tape",
     "as_tensor",
-    "backward",
     "check_finite",
-    "forward",
     "ops",
 ]

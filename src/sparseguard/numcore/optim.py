@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Parameter, check_finite
+from .tensor import check_finite
 
 
 def sgd_step(params, learning_rate: float) -> None:

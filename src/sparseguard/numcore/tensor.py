@@ -8,8 +8,6 @@ array is checked finite; NaN/Inf anywhere is an error, not a warning.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
@@ -22,21 +20,12 @@ class GraphError(RuntimeError):
     non-scalar loss node."""
 
 
-_tls = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_stack: list = []
 
 
 def active_tape():
-    """The innermost recording tape of the current thread, or None."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost recording tape, or None."""
+    return _stack[-1] if _stack else None
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -93,11 +82,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _stack().append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _stack().pop()
+        popped = _stack.pop()
         assert popped is self, "tape contexts must nest"
         return False
 
@@ -143,15 +132,3 @@ class Tape:
                     parent.grad = pg
                 else:
                     parent.grad = parent.grad + pg
-
-
-def forward(model, batch):
-    """Run model on batch while recording; returns (outputs, tape)."""
-    tape = Tape()
-    with tape:
-        out = model(as_tensor(batch))
-    return out, tape
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)

@@ -10,12 +10,9 @@ spent (optionally stopping early on stagnation).
 
 from __future__ import annotations
 
-import copy
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +34,7 @@ from .metrics import (
     tm_score,
     training_loss,
 )
-from .models import (
-    AttackerSpec,
-    TargetSpec,
-    build_blackbox_attacker,
-    build_target,
-    build_whitebox_attacker,
-    last_layer_gradient_length,
-)
+from .models import TargetSpec, build_attacker, build_target
 from .numcore import Tape
 from .numcore.optim import LrSchedule, lr_at, sgd_step
 from .sparse import (
@@ -55,8 +45,6 @@ from .sparse import (
     prune_rate_at,
     sparse_update,
 )
-
-THREADS_ENV = "SFCMP_THREADS"
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,7 @@ class IterationReport:
         }
 
 
-class _RngTree:
+class RngTree:
     """Deterministic stream factory: spawn order defines the stream."""
 
     def __init__(self, seed: int):
@@ -192,8 +180,7 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
     n = len(train_data)
     bs = min(config.batch_size, n)
     steps_per_epoch = _steps_per_epoch(n, bs)
-    entropy_cfg = EntropyConfig(beta=config.beta, batch_size=bs,
-                                variant=config.variant)
+    entropy_cfg = EntropyConfig(beta=config.beta, variant=config.variant)
     params = model.params()
     done = 0
     while done < iterations:
@@ -221,7 +208,7 @@ def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
                         *, gradients: dict, prune_rate: float, tau: float,
                         train_data: LabeledSet,
                         schedule: LrSchedule | None = None,
-                        epoch_base: float = 0.0, executor=None):
+                        epoch_base: float = 0.0):
     """One fine-tuned deep-copied candidate per strategy pair.
 
     Degenerate updates (a threshold that would wipe a layer) are discarded
@@ -242,19 +229,10 @@ def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
         raise RuntimeError("every candidate was degenerate; no candidate "
                            "survived the sparse update")
     tune_rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in updated]
-
-    def tune(item):
-        (pair, cand), stream = item
+    for (_, cand), stream in zip(updated, tune_rngs):
         train_phase(cand, train_data, steps, config, stream,
                     schedule=schedule, epoch_base=epoch_base)
-        return pair, cand
-
-    jobs = list(zip(updated, tune_rngs))
-    if executor is None:
-        tuned = [tune(j) for j in jobs]
-    else:
-        tuned = list(executor.map(tune, jobs))
-    return tuned, notes
+    return updated, notes
 
 
 def select_best(scores: list) -> StrategyPair:
@@ -291,15 +269,6 @@ def _validation_slice(known_test: LabeledSet, fraction: float,
     return LabeledSet(known_test.x[rows], known_test.y[rows])
 
 
-def _build_attacker(config: RunConfig, model, rng: np.random.Generator):
-    if config.attacker_mode == "blackbox":
-        spec = AttackerSpec(mode="blackbox", classes=config.target.classes)
-        return build_blackbox_attacker(spec, rng)
-    spec = AttackerSpec(mode="whitebox", classes=config.target.classes,
-                        grad_len=last_layer_gradient_length(model))
-    return build_whitebox_attacker(spec, rng)
-
-
 def _build_schedule(config: RunConfig) -> LrSchedule:
     milestones = []
     for f in config.lr_milestones:
@@ -311,14 +280,16 @@ def _build_schedule(config: RunConfig) -> LrSchedule:
                       decay_factor=config.lr_decay)
 
 
-def _worker_count(config: RunConfig) -> int:
-    if config.deterministic:
-        return 0
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+def check_dataset_fits(target: TargetSpec,
+                       datasets: tuple[LabeledSet, LabeledSet]) -> None:
+    """Reject a dataset whose width or labels do not fit the target."""
+    train_set, test_set = datasets
+    if train_set.x.shape[1] != target.input_width:
+        raise ValueError(
+            f"dataset has {train_set.x.shape[1]} features but the target "
+            f"expects {target.input_width}")
+    if int(max(train_set.y.max(), test_set.y.max())) >= target.classes:
+        raise ValueError("dataset labels exceed the target class count")
 
 
 def run_compression(config: RunConfig,
@@ -331,15 +302,10 @@ def run_compression(config: RunConfig,
     far. `iteration_callback(report, model)` additionally sees the adopted
     model, for per-iteration persistence.
     """
+    check_dataset_fits(config.target, datasets)
     train_set, test_set = datasets
-    if train_set.x.shape[1] != config.target.input_width:
-        raise ValueError(
-            f"dataset has {train_set.x.shape[1]} features but the target "
-            f"expects {config.target.input_width}")
-    if int(max(train_set.y.max(), test_set.y.max())) >= config.target.classes:
-        raise ValueError("dataset labels exceed the target class count")
 
-    seq = _RngTree(config.seed)
+    seq = RngTree(config.seed)
     rng_split, rng_val, rng_init = seq.next(), seq.next(), seq.next()
     splits = split_for_attack(train_set, test_set, rng_split)
     val_set = _validation_slice(splits.known_test, config.validation_fraction,
@@ -353,14 +319,9 @@ def run_compression(config: RunConfig,
     per_iteration_epochs = span_epochs + config.candidate_finetune_epochs
     planned = max(1, math.ceil(config.total_epochs / per_iteration_epochs))
     schedule = _build_schedule(config)
-    entropy_cfg = EntropyConfig(beta=config.beta,
-                                batch_size=min(config.batch_size, n),
-                                variant=config.variant)
+    entropy_cfg = EntropyConfig(beta=config.beta, variant=config.variant)
     probe = min(config.probe_size, n)
     probe_x, probe_y = train_set.x[:probe], train_set.y[:probe]
-
-    workers = _worker_count(config)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     attacker = None
     tau = config.tau
@@ -369,88 +330,75 @@ def run_compression(config: RunConfig,
     best_tm = -math.inf
     stall = 0
     iteration = 0
-    try:
-        while cumulative < config.total_epochs:
-            iteration += 1
-            started = time.perf_counter()
+    while cumulative < config.total_epochs:
+        iteration += 1
+        started = time.perf_counter()
 
-            train_phase(model, train_set, config.inner_iterations, config,
-                        seq.next(), schedule=schedule, epoch_base=cumulative)
-            gradients = _probe_gradients(model, probe_x, probe_y, entropy_cfg)
-            rate = prune_rate_at(iteration - 1, planned,
-                                 config.prune_rate_start,
-                                 config.prune_rate_end)
-            if tau is None:
-                tau = _pooled_tau(model, rate)
+        train_phase(model, train_set, config.inner_iterations, config,
+                    seq.next(), schedule=schedule, epoch_base=cumulative)
+        gradients = _probe_gradients(model, probe_x, probe_y, entropy_cfg)
+        rate = prune_rate_at(iteration - 1, planned,
+                             config.prune_rate_start,
+                             config.prune_rate_end)
+        if tau is None:
+            tau = _pooled_tau(model, rate)
 
-            examples, _ = extract_examples(model, splits, config.attacker_mode)
-            if attacker is None:
-                attacker = _build_attacker(config, model, seq.next())
-                epochs = config.attacker_epochs_first
-            else:
-                epochs = config.attacker_epochs_topup
-            train_attacker(attacker, examples, epochs=epochs, rng=seq.next(),
-                           learning_rate=config.attacker_learning_rate)
+        examples, _ = extract_examples(model, splits, config.attacker_mode)
+        if attacker is None:
+            attacker = build_attacker(config.attacker_mode, model, seq.next())
+            epochs = config.attacker_epochs_first
+        else:
+            epochs = config.attacker_epochs_topup
+        train_attacker(attacker, examples, epochs=epochs, rng=seq.next(),
+                       learning_rate=config.attacker_learning_rate)
 
-            candidates, notes = generate_candidates(
-                model, config, seq.next(), gradients=gradients,
-                prune_rate=rate, tau=tau, train_data=train_set,
-                schedule=schedule, epoch_base=cumulative + span_epochs,
-                executor=executor)
-            job_rngs = [seq.next() for _ in candidates]
+        candidates, notes = generate_candidates(
+            model, config, seq.next(), gradients=gradients,
+            prune_rate=rate, tau=tau, train_data=train_set,
+            schedule=schedule, epoch_base=cumulative + span_epochs)
+        job_rngs = [seq.next() for _ in candidates]
 
-            def score_candidate(item):
-                (pair, cand), stream = item
-                tuned = finetune_attacker(attacker, cand, splits,
-                                          config.attacker_finetune_epochs,
-                                          rng=stream)
-                task = task_accuracy(cand, val_set)
-                mia = mia_accuracy(tuned, cand, splits)
-                gain = mia_gain(tuned, cand, splits)
-                tm = tm_score(ScorePair(task_acc=task,
-                                        mia_acc=max(mia, 1e-6),
-                                        lam=config.lam))
-                return CandidateScore(pair, task, mia, tm, gain), tuned
+        scores, tuned_attackers = [], []
+        for (pair, cand), stream in zip(candidates, job_rngs):
+            tuned = finetune_attacker(attacker, cand, splits,
+                                      config.attacker_finetune_epochs,
+                                      rng=stream)
+            task = task_accuracy(cand, val_set)
+            mia = mia_accuracy(tuned, cand, splits)
+            gain = mia_gain(tuned, cand, splits)
+            tm = tm_score(ScorePair(task_acc=task, mia_acc=max(mia, 1e-6),
+                                    lam=config.lam))
+            scores.append(CandidateScore(pair, task, mia, tm, gain))
+            tuned_attackers.append(tuned)
 
-            jobs = list(zip(candidates, job_rngs))
-            if executor is None:
-                outcomes = [score_candidate(j) for j in jobs]
-            else:
-                outcomes = list(executor.map(score_candidate, jobs))
+        selected = select_best(scores)
+        chosen = next(i for i, s in enumerate(scores) if s.pair == selected)
+        model = candidates[chosen][1]
+        attacker = tuned_attackers[chosen]
+        if active_count(model) != initial_active:
+            raise RuntimeError("active-weight count drifted during the "
+                               "sparse update; invariant violated")
 
-            scores = [s for s, _ in outcomes]
-            selected = select_best(scores)
-            chosen = next(i for i, s in enumerate(scores)
-                          if s.pair == selected)
-            model = candidates[chosen][1]
-            attacker = outcomes[chosen][1]
-            if active_count(model) != initial_active:
-                raise RuntimeError("active-weight count drifted during the "
-                                   "sparse update; invariant violated")
+        cumulative += per_iteration_epochs
+        wall = 0.0 if config.deterministic else (time.perf_counter()
+                                                 - started)
+        report = IterationReport(
+            iteration=iteration, candidates=tuple(scores),
+            selected=selected, cumulative_epochs=cumulative,
+            wall_time_s=wall, active_weights=initial_active,
+            prune_rate=rate, tau=tau, notes=tuple(notes))
+        reports.append(report)
+        if report_sink is not None:
+            report_sink(report)
+        if iteration_callback is not None:
+            iteration_callback(report, model)
 
-            cumulative += per_iteration_epochs
-            wall = 0.0 if config.deterministic else (time.perf_counter()
-                                                     - started)
-            report = IterationReport(
-                iteration=iteration, candidates=tuple(scores),
-                selected=selected, cumulative_epochs=cumulative,
-                wall_time_s=wall, active_weights=initial_active,
-                prune_rate=rate, tau=tau, notes=tuple(notes))
-            reports.append(report)
-            if report_sink is not None:
-                report_sink(report)
-            if iteration_callback is not None:
-                iteration_callback(report, model)
-
-            best_this = max(s.tm_score for s in scores)
-            if best_this >= best_tm + config.early_stop_delta:
-                stall = 0
-            else:
-                stall += 1
-            best_tm = max(best_tm, best_this)
-            if config.early_stop and stall >= config.early_stop_patience:
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        best_this = max(s.tm_score for s in scores)
+        if best_this >= best_tm + config.early_stop_delta:
+            stall = 0
+        else:
+            stall += 1
+        best_tm = max(best_tm, best_this)
+        if config.early_stop and stall >= config.early_stop_patience:
+            break
     return model, reports

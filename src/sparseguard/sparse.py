@@ -202,6 +202,21 @@ def _grow(layer, k, chosen, grown):
     grown.update((k, int(i)) for i in chosen)
 
 
+def _inactive_pool(layer, k: int, count: int, exclude: set | None) -> np.ndarray:
+    """Flat indices of layer k's inactive positions outside exclude; there
+    must be at least count of them."""
+    _, m = _flat_views(layer)
+    pool = np.flatnonzero(m == 0.0)
+    if exclude:
+        banned = {f for kk, f in exclude if kk == k}
+        if banned:
+            pool = pool[~np.isin(pool, list(banned))]
+    if count > pool.size:
+        raise ValueError(
+            f"layer {k}: cannot grow {count} of {pool.size} inactive positions")
+    return pool
+
+
 def grow_gradient(model, dense_gradients: dict, counts: dict, rng,
                   exclude: set | None = None) -> set:
     """Activate the counts[k] inactive positions with largest |dL/dw| per
@@ -215,15 +230,7 @@ def grow_gradient(model, dense_gradients: dict, counts: dict, rng,
         if count == 0:
             continue
         g = np.asarray(dense_gradients[k]).reshape(-1)
-        _, m = _flat_views(layer)
-        pool = np.flatnonzero(m == 0.0)
-        if exclude:
-            banned = {f for kk, f in exclude if kk == k}
-            if banned:
-                pool = pool[~np.isin(pool, list(banned))]
-        if count > pool.size:
-            raise ValueError(
-                f"layer {k}: cannot grow {count} of {pool.size} inactive positions")
+        pool = _inactive_pool(layer, k, count, exclude)
         order = np.lexsort((pool, -np.abs(g[pool])))
         _grow(layer, k, pool[order[:count]], grown)
     return grown
@@ -238,15 +245,7 @@ def grow_random(model, counts: dict, rng: np.random.Generator,
         count = int(counts.get(k, 0))
         if count == 0:
             continue
-        _, m = _flat_views(layer)
-        pool = np.flatnonzero(m == 0.0)
-        if exclude:
-            banned = {f for kk, f in exclude if kk == k}
-            if banned:
-                pool = pool[~np.isin(pool, list(banned))]
-        if count > pool.size:
-            raise ValueError(
-                f"layer {k}: cannot grow {count} of {pool.size} inactive positions")
+        pool = _inactive_pool(layer, k, count, exclude)
         _grow(layer, k, rng.choice(pool, size=count, replace=False), grown)
     return grown
 
@@ -308,8 +307,8 @@ def sparse_update(model, pair: StrategyPair, prune_rate: float, tau: float,
     return new
 
 
-def prune_rate_at(iteration: int, total_iterations: int,
-                  start: float = 0.2, end: float = 0.02) -> float:
+def prune_rate_at(iteration: int, total_iterations: int, start: float,
+                  end: float) -> float:
     """Cosine anneal from start (iteration 0) to end (last iteration)."""
     if total_iterations <= 1:
         return start

@@ -1,5 +1,7 @@
 """Checkpoint format tests: lossless round trip, corruption detection."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,24 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(path)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    old = random_model(np.random.default_rng(5))
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, old, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    before = path.read_bytes()
+
+    def torn(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "packbits", torn)  # fails after the weights
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, random_model(np.random.default_rng(6)),
+                        iteration=2, seed=0, dataset=DESC,
+                        attacker_mode="blackbox")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).iteration == 1
+    assert os.listdir(tmp_path) == ["m.bin"]

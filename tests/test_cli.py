@@ -84,6 +84,24 @@ def test_run_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"batch_size": "32"}, "not supported"),
+    ({"dataset": {"kind": "csv", "path": "absent.csv", "test_fraction": 0.2,
+                  "seed": 0}}, "absent.csv"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], dim=5)}, "features"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], classes=4)}, "class count"),
+], ids=["wrong type", "missing csv", "width", "labels"])
+def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
+    out_dir = tmp_path / "out"
+    doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out_dir / "report.jsonl").exists()
+
+
 def test_cli_overrides_seed_and_out_dir(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TOY_CONFIG))

@@ -1,6 +1,7 @@
 """Experiment-config document tests: parsing, validation, round-trip."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -13,6 +14,8 @@ from sparseguard.config import (
     to_run_config,
     with_overrides,
 )
+from sparseguard.models import TargetSpec
+from sparseguard.orchestrator import RunConfig
 from sparseguard.sparse import ALL_PAIRS, StrategyPair
 
 MINIMAL = {
@@ -103,3 +106,15 @@ def test_dataset_must_be_object():
     doc = dict(MINIMAL, dataset="blobs")
     with pytest.raises(ValueError, match="dataset must be an object"):
         parse_config(json.dumps(doc))
+
+
+def test_document_fields_are_run_config_fields_plus_plumbing():
+    document = [f.name for f in fields(ExperimentConfig)]
+    run = [f.name for f in fields(RunConfig)]
+    assert sorted(document) == sorted(run + ["dataset", "out_dir"])
+
+
+def test_minimal_document_takes_every_run_default():
+    expected = RunConfig(omega=0.1, target=TargetSpec(
+        kind="mlp", input_shape=(2,), classes=4, hidden=(8, 8)))
+    assert to_run_config(parse_config(json.dumps(MINIMAL))) == expected

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from sparseguard.attack import attack_outputs
+from sparseguard.metrics import task_accuracy
 from sparseguard.models import (
     AttackerSpec,
     TargetSpec,
+    build_attacker,
     build_blackbox_attacker,
     build_target,
     build_whitebox_attacker,
@@ -43,6 +46,21 @@ def test_target_forward_is_distribution():
     p = posteriors(model, x)
     assert p.shape == (7, 4)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_chunked_inference_matches_one_forward_pass():
+    rng = np.random.default_rng(12)
+    model = build_target(MLP_SPEC, 0.3, rng)
+    x = rng.normal(size=(2500, 64))  # three 1024-row chunks, the last short
+    y = rng.integers(0, 4, size=2500)
+    whole = model(x).data
+    assert np.array_equal(posteriors(model, x), whole)
+    assert task_accuracy(model, (x, y)) == float(
+        np.mean(whole.argmax(axis=1) == y))
+    attacker = build_attacker("blackbox", model, rng)
+    features = np.concatenate([whole, np.eye(4)[y]], axis=1)
+    assert np.array_equal(attack_outputs(attacker, features),
+                          attacker(features).data)
 
 
 def test_cnn_target_shapes_and_masks():
@@ -131,6 +149,17 @@ def test_blackbox_keeps_posteriors_unsorted():
     a = attacker(np.concatenate([[[0.1, 0.7, 0.2]], label], axis=1)).data
     b = attacker(np.concatenate([[[0.7, 0.2, 0.1]], label], axis=1)).data
     assert not np.array_equal(a, b)
+
+
+def test_build_attacker_sizes_for_the_target():
+    model = build_target(MLP_SPEC, 0.3, np.random.default_rng(13))
+    black = build_attacker("blackbox", model, np.random.default_rng(14))
+    white = build_attacker("whitebox", model, np.random.default_rng(14))
+    assert (black.spec.mode, black.spec.classes) == ("blackbox", 4)
+    assert (white.spec.mode, white.spec.classes) == ("whitebox", 4)
+    assert white.spec.grad_len == last_layer_gradient_length(model)
+    with pytest.raises(ValueError, match="attacker mode"):
+        build_attacker("greybox", model, np.random.default_rng(14))
 
 
 def test_whitebox_rejects_short_gradient():
