@@ -18,7 +18,7 @@ from .data import LabeledSet
 from .models import posteriors
 from .numcore import Tape
 from .numcore import ops
-from .numcore.optim import AdamState, adam_step
+from .numcore.optim import adam_step
 
 HALF_BATCH = 64
 CLAMP = 1e-12
@@ -138,8 +138,6 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int,
     if len(members) == 0 or len(nonmembers) == 0:
         raise ValueError("attacker training needs both membership classes")
     params = attacker.params()
-    if getattr(attacker, "opt_state", None) is None:
-        attacker.opt_state = AdamState(params)
     longer = max(len(members), len(nonmembers))
     batches = max(1, longer // HALF_BATCH)
     need = batches * HALF_BATCH
@@ -162,7 +160,8 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int,
 
 
 def finetune_attacker(attacker, candidate, splits: AttackSplits, epochs: int,
-                      rng: np.random.Generator | None = None):
+                      rng: np.random.Generator | None = None, *,
+                      learning_rate: float):
     """Copy the attacker and adapt the copy to one candidate model.
 
     The parent attacker (trained against the candidates' shared parent model)
@@ -172,7 +171,8 @@ def finetune_attacker(attacker, candidate, splits: AttackSplits, epochs: int,
     if epochs == 0:
         return tuned
     attack_train, _ = extract_examples(candidate, splits, tuned.spec.mode)
-    return train_attacker(tuned, attack_train, epochs=epochs, rng=rng)
+    return train_attacker(tuned, attack_train, epochs=epochs, rng=rng,
+                          learning_rate=learning_rate)
 
 
 def attack_outputs(attacker, features: np.ndarray) -> np.ndarray:

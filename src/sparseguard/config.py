@@ -37,10 +37,42 @@ def _document_fields() -> list:
 
 ExperimentConfig = make_dataclass("ExperimentConfig", _document_fields(),
                                   frozen=True)
-REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig)
-                        if f.default is MISSING)
 
-_TUPLE_FIELDS = {"pairs", "lr_milestones"}
+# declared field type -> (accepted JSON value types, name in messages)
+_JSON_TYPES = {
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "tuple": ((list,), "a list"),
+    "dict": ((dict,), "an object"),
+}
+
+
+def check_document(cls, doc: dict, prefix: str = "") -> None:
+    """Check a JSON object against a dataclass's fields: every key must be a
+    field, every field without a default must be present, and every value
+    must have the JSON type of its declared field type. A bool is not a
+    number, and a float is not an integer."""
+    declared = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in declared:
+            raise ValueError(f"unknown {prefix}field: {key}")
+    for name, f in declared.items():
+        if name not in doc:
+            if f.default is MISSING:
+                raise ValueError(f"missing {prefix}field: {name}")
+            continue
+        value = doc[name]
+        kind = f.type if isinstance(f.type, str) else f.type.__name__
+        if kind.endswith(" | None"):
+            if value is None:
+                continue
+            kind = kind[:-len(" | None")]
+        accepted, noun = _JSON_TYPES[kind]
+        if (isinstance(value, bool) and bool not in accepted
+                or not isinstance(value, accepted)):
+            raise ValueError(f"{prefix}field {name} must be {noun}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -50,22 +82,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown field: {key}")
-    for key in REQUIRED_FIELDS:
-        if key not in doc:
-            raise ValueError(f"missing field: {key}")
-    values = dict(doc)
-    for key in _TUPLE_FIELDS & set(values):
-        if not isinstance(values[key], (list, tuple)):
-            raise ValueError(f"field {key} must be a list")
-        values[key] = tuple(values[key])
-    for key in ("dataset", "target"):
-        if not isinstance(values[key], dict):
-            raise ValueError(f"field {key} must be an object")
-    return ExperimentConfig(**values)
+    check_document(ExperimentConfig, doc)
+    return ExperimentConfig(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in doc.items()})
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -91,19 +111,8 @@ def parse_pair_tag(tag: str) -> StrategyPair:
 
 
 def target_spec_from(doc: dict) -> TargetSpec:
-    allowed = {"kind", "input_shape", "classes", "hidden", "channels", "kernel"}
-    extra = set(doc) - allowed
-    if extra:
-        raise ValueError(f"unknown target field: {sorted(extra)[0]}")
-    for key in ("kind", "input_shape", "classes"):
-        if key not in doc:
-            raise ValueError(f"missing target field: {key}")
-    kwargs = dict(doc)
-    kwargs["input_shape"] = tuple(kwargs["input_shape"])
-    for key in ("hidden", "channels"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return TargetSpec(**kwargs)
+    check_document(TargetSpec, doc, "target ")
+    return TargetSpec(**doc)
 
 
 def to_run_config(config: ExperimentConfig) -> RunConfig:

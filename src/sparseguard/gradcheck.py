@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .models import AttackerSpec, build_blackbox_attacker, build_whitebox_attacker
+from .models import Attacker, AttackerSpec
 from .numcore import Tape, Tensor
 from .numcore import ops
 from .numcore.layers import Conv1d, Conv2d, Linear, MaxPool2
@@ -149,7 +149,7 @@ def _rescale(attacker, rng):
 def _case_blackbox_attacker(rng):
     spec = AttackerSpec(mode="blackbox", classes=3, stream_hidden=10,
                         embed=6, fusion_hidden=8)
-    attacker = _rescale(build_blackbox_attacker(spec, rng), rng)
+    attacker = _rescale(Attacker(spec, rng), rng)
     feats = rng.uniform(0.05, 1.0, size=(6, 6))
     feats[:, :3] /= feats[:, :3].sum(axis=1, keepdims=True)
     targets = rng.integers(0, 2, size=6).astype(np.float64)
@@ -161,7 +161,7 @@ def _case_whitebox_attacker(rng):
     spec = AttackerSpec(mode="whitebox", classes=3, grad_len=23,
                         stream_hidden=10, embed=6, fusion_hidden=8,
                         conv_filters=2, conv_kernel=5, conv_stride=3)
-    attacker = _rescale(build_whitebox_attacker(spec, rng), rng)
+    attacker = _rescale(Attacker(spec, rng), rng)
     feats = rng.normal(size=(4, 3 + 3 + 1 + 23))
     probs = rng.uniform(0.05, 1.0, size=(4, 3))
     feats[:, :3] = probs / probs.sum(axis=1, keepdims=True)

@@ -1,6 +1,6 @@
 """Model constructors: sparse classifier targets (MLP / small CNN) and the
-membership attackers, the black-box three-stream network and the white-box
-five-stream network with a strided 1-D convolution over last-layer gradients.
+membership attacker, whose black-box mode fuses two feature streams and whose
+white-box mode fuses four.
 
 Attacker feature layout (one row per example):
   blackbox: [posteriors C | one-hot label C]
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Tensor, as_tensor, ops
+from .numcore import Tensor, ops
 from .numcore.layers import (
     Conv1d,
     Conv2d,
@@ -29,6 +29,7 @@ from .numcore.layers import (
     Sequential,
     Softmax,
 )
+from .numcore.optim import AdamState
 from .sparse import er_initialize
 
 ATTACKER_INIT_STD = 0.01
@@ -57,26 +58,14 @@ class TargetSpec:
         return int(np.prod(self.input_shape))
 
 
-class SparseModel:
+class SparseModel(Sequential):
     """A feed-forward classifier whose weight layers carry binary masks."""
 
     def __init__(self, spec: TargetSpec, layers: list):
+        super().__init__(layers)
         self.spec = spec
-        self.layers = layers
         self.omega = 1.0
         self.epsilon = 0.0
-
-    def __call__(self, x) -> Tensor:
-        t = as_tensor(x)
-        for layer in self.layers:
-            t = layer(t)
-        return t
-
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
 
     def masked_layers(self):
         return [l for l in self.layers if getattr(l, "mask", None) is not None]
@@ -89,14 +78,9 @@ class SparseModel:
 
     def penultimate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (posteriors, input activation of the final linear layer)."""
-        head = self.last_weight_layer()
-        t = as_tensor(x)
-        captured = None
-        for layer in self.layers:
-            if layer is head:
-                captured = t.data
-            t = layer(t)
-        return t.data, captured
+        head = self.layers.index(self.last_weight_layer())
+        hidden = Sequential(self.layers[:head])(x)
+        return Sequential(self.layers[head:])(hidden).data, hidden.data
 
     def clone(self) -> "SparseModel":
         return copy.deepcopy(self)
@@ -186,94 +170,59 @@ def _fusion(n_in, spec, rng):
     ])
 
 
-class BlackboxAttacker:
-    """Probability stream + label stream -> fusion -> membership probability."""
-
-    def __init__(self, spec: AttackerSpec, rng: np.random.Generator):
-        self.spec = spec
-        c = spec.classes
-        self.prob = _mlp_stream(c, spec, rng)
-        self.label = _mlp_stream(c, spec, rng)
-        self.fusion = _fusion(2 * spec.embed, spec, rng)
-        self.feature_length = 2 * c
-
-    def __call__(self, features) -> Tensor:
-        f = features.data if isinstance(features, Tensor) else np.asarray(features)
-        c = self.spec.classes
-        if f.ndim != 2 or f.shape[1] != self.feature_length:
-            raise ValueError(f"expected features (n, {self.feature_length})")
-        h = ops.concat([self.prob(Tensor(f[:, :c])),
-                        self.label(Tensor(f[:, c:2 * c]))], axis=1)
-        logit = self.fusion(h)
-        return ops.sigmoid(ops.reshape(logit, (f.shape[0],)))
-
-    def params(self):
-        return self.prob.params() + self.label.params() + self.fusion.params()
-
-
-class WhiteboxAttacker:
-    """Ranked-posterior, label, loss, and gradient streams -> fusion."""
+class Attacker:
+    """Per-stream encoders over slices of the feature row -> fusion ->
+    membership probability. Black-box mode reads the probability and label
+    streams; white-box mode adds the loss stream and a strided 1-D
+    convolution over the last-layer gradient, and ranks the posteriors."""
 
     def __init__(self, spec: AttackerSpec, rng: np.random.Generator):
         self.spec = spec
         c, g = spec.classes, spec.grad_len
         self.prob = _mlp_stream(c, spec, rng)
         self.label = _mlp_stream(c, spec, rng)
-        self.loss_stream = Sequential([Linear(1, spec.embed, rng, ATTACKER_INIT_STD), ReLU()])
-        conv_out = (g - spec.conv_kernel) // spec.conv_stride + 1
-        self.grad_stream = Sequential([
-            Conv1d(1, spec.conv_filters, spec.conv_kernel, rng, ATTACKER_INIT_STD,
-                   stride=spec.conv_stride),
-            ReLU(),
-            Flatten(),
-            Linear(spec.conv_filters * conv_out, spec.embed, rng, ATTACKER_INIT_STD),
-            ReLU(),
-        ])
-        self.fusion = _fusion(4 * spec.embed, spec, rng)
-        self.feature_length = 2 * c + 1 + g
+        self.streams = [self.prob, self.label]
+        self.feature_length = 2 * c
+        if spec.mode == "whitebox":
+            self.loss_stream = Sequential([
+                Linear(1, spec.embed, rng, ATTACKER_INIT_STD), ReLU()])
+            conv_out = (g - spec.conv_kernel) // spec.conv_stride + 1
+            self.grad_stream = Sequential([
+                Conv1d(1, spec.conv_filters, spec.conv_kernel, rng, ATTACKER_INIT_STD,
+                       stride=spec.conv_stride),
+                ReLU(),
+                Flatten(),
+                Linear(spec.conv_filters * conv_out, spec.embed, rng, ATTACKER_INIT_STD),
+                ReLU(),
+            ])
+            self.streams += [self.loss_stream, self.grad_stream]
+            self.feature_length += 1 + g
+        self.fusion = _fusion(len(self.streams) * spec.embed, spec, rng)
+        self.opt_state = AdamState(self.params())
 
     def __call__(self, features) -> Tensor:
         f = features.data if isinstance(features, Tensor) else np.asarray(features)
-        c = self.spec.classes
         if f.ndim != 2 or f.shape[1] != self.feature_length:
             raise ValueError(f"expected features (n, {self.feature_length})")
-        n = f.shape[0]
-        ranked = np.sort(f[:, :c], axis=1)[:, ::-1].copy()
-        grad = f[:, 2 * c + 1:].reshape(n, 1, self.spec.grad_len)
-        h = ops.concat([
-            self.prob(Tensor(ranked)),
-            self.label(Tensor(f[:, c:2 * c])),
-            self.loss_stream(Tensor(f[:, 2 * c:2 * c + 1])),
-            self.grad_stream(Tensor(grad)),
-        ], axis=1)
+        n, c = f.shape[0], self.spec.classes
+        inputs = [f[:, :c], f[:, c:2 * c]]
+        if self.spec.mode == "whitebox":
+            inputs[0] = np.sort(inputs[0], axis=1)[:, ::-1].copy()
+            inputs += [f[:, 2 * c:2 * c + 1],
+                       f[:, 2 * c + 1:].reshape(n, 1, self.spec.grad_len)]
+        h = ops.concat([stream(Tensor(x)) for stream, x in zip(self.streams, inputs)],
+                       axis=1)
         logit = self.fusion(h)
         return ops.sigmoid(ops.reshape(logit, (n,)))
 
     def params(self):
-        return (self.prob.params() + self.label.params()
-                + self.loss_stream.params() + self.grad_stream.params()
-                + self.fusion.params())
-
-
-def build_blackbox_attacker(spec: AttackerSpec, rng: np.random.Generator) -> BlackboxAttacker:
-    if spec.mode != "blackbox":
-        raise ValueError("spec mode must be blackbox")
-    return BlackboxAttacker(spec, rng)
-
-
-def build_whitebox_attacker(spec: AttackerSpec, rng: np.random.Generator) -> WhiteboxAttacker:
-    if spec.mode != "whitebox":
-        raise ValueError("spec mode must be whitebox")
-    return WhiteboxAttacker(spec, rng)
+        return [p for part in self.streams + [self.fusion] for p in part.params()]
 
 
 def build_attacker(mode: str, target: SparseModel,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator) -> Attacker:
     """The attacker of the given mode, sized for the target's classes (and,
     in white-box mode, for its last-layer gradient)."""
-    if mode == "blackbox":
-        return build_blackbox_attacker(
-            AttackerSpec(mode="blackbox", classes=target.spec.classes), rng)
-    spec = AttackerSpec(mode=mode, classes=target.spec.classes,
-                        grad_len=last_layer_gradient_length(target))
-    return build_whitebox_attacker(spec, rng)
+    grad_len = last_layer_gradient_length(target) if mode == "whitebox" else 0
+    return Attacker(AttackerSpec(mode=mode, classes=target.spec.classes,
+                                 grad_len=grad_len), rng)

@@ -2,7 +2,7 @@
 
 Masked layers gate their weight matrix with a 0/1 float mask stored on the
 weight Parameter itself, so optimizers and sparse bookkeeping see one source
-of truth. Biases are always dense and trainable.
+of truth. Biases are always dense.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, as_tensor
 
 
 class Linear:
@@ -121,7 +121,8 @@ class Sequential:
     def __init__(self, layers: list):
         self.layers = list(layers)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x) -> Tensor:
+        x = as_tensor(x)
         for layer in self.layers:
             x = layer(x)
         return x

@@ -167,8 +167,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None,
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
-           mask: np.ndarray | None = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """1-D correlation with stride. x (n, ci, L), w (co, ci, k)."""
     n, ci, length = x.data.shape
     co, ci_w, k = w.data.shape
@@ -182,7 +181,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
     cols = windows[:, :, starts, :]                       # (n, ci, ol, k)
     cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n, ol, ci * k)
-    w_eff = (w.data if mask is None else w.data * mask).reshape(co, -1)
+    w_eff = w.data.reshape(co, -1)
     out_data = np.einsum("nlk,ok->nol", cols, w_eff, optimize=True)
     out = Tensor(out_data + b.data[None, :, None])
 

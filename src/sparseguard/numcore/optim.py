@@ -17,8 +17,6 @@ from .tensor import check_finite
 def sgd_step(params, learning_rate: float) -> None:
     """Plain SGD, no momentum: value <- value - lr * gradient."""
     for p in params:
-        if not p.trainable:
-            continue
         update = learning_rate * p.grad
         if p.mask is not None:
             update = update * p.mask
@@ -43,8 +41,6 @@ def adam_step(params, state: AdamState, learning_rate: float = 0.001,
     state.t += 1
     t = state.t
     for i, p in enumerate(params):
-        if not p.trainable:
-            continue
         g = p.grad
         state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
         state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g

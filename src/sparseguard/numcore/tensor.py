@@ -59,13 +59,12 @@ class Parameter(Tensor):
     zeroed by the tape at the start of every backward pass. An optional 0/1
     mask (same shape) gates optimizer updates; gradients stay dense."""
 
-    __slots__ = ("trainable", "mask")
+    __slots__ = ("mask",)
 
-    def __init__(self, data, trainable: bool = True, mask: np.ndarray | None = None):
+    def __init__(self, data, mask: np.ndarray | None = None):
         super().__init__(data)
         if mask is not None and mask.shape != self.data.shape:
             raise ValueError("mask shape must match parameter shape")
-        self.trainable = trainable
         self.mask = mask
         self.grad = np.zeros_like(self.data)
 

@@ -362,7 +362,8 @@ def run_compression(config: RunConfig,
         for (pair, cand), stream in zip(candidates, job_rngs):
             tuned = finetune_attacker(attacker, cand, splits,
                                       config.attacker_finetune_epochs,
-                                      rng=stream)
+                                      rng=stream,
+                                      learning_rate=config.attacker_learning_rate)
             task = task_accuracy(cand, val_set)
             mia = mia_accuracy(tuned, cand, splits)
             gain = mia_gain(tuned, cand, splits)

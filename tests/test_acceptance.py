@@ -26,11 +26,10 @@ from sparseguard.data import load_dataset
 from sparseguard.gradcheck import TOLERANCE, run_cases, worst_case
 from sparseguard.metrics import ScorePair, task_accuracy, tm_score
 from sparseguard.models import (
+    Attacker,
     AttackerSpec,
     TargetSpec,
-    build_blackbox_attacker,
     build_target,
-    build_whitebox_attacker,
     last_layer_gradient_length,
 )
 from sparseguard.numcore import Tape, ops
@@ -195,14 +194,14 @@ def overfit_bundle():
         _fit(target, train, epochs=200, lr=0.2, batch=32, seed=seed)
 
         at, _ = extract_examples(target, splits, "blackbox")
-        atk = build_blackbox_attacker(
+        atk = Attacker(
             AttackerSpec(mode="blackbox", classes=4),
             np.random.default_rng(seed))
         train_attacker(atk, at, epochs=100, rng=np.random.default_rng(seed))
         bb.append(mia_accuracy(atk, target, splits))
 
         at_w, _ = extract_examples(target, splits, "whitebox")
-        atk_w = build_whitebox_attacker(
+        atk_w = Attacker(
             AttackerSpec(mode="whitebox", classes=4,
                          grad_len=last_layer_gradient_length(target)),
             np.random.default_rng(seed))
@@ -212,7 +211,7 @@ def overfit_bundle():
 
         control = build_target(spec, 1.0, np.random.default_rng(1000 + seed))
         at_f, _ = extract_examples(control, splits, "blackbox")
-        atk_f = build_blackbox_attacker(
+        atk_f = Attacker(
             AttackerSpec(mode="blackbox", classes=4),
             np.random.default_rng(seed))
         train_attacker(atk_f, at_f, epochs=100,
@@ -238,8 +237,8 @@ def test_06_balanced_batches(verdict):
     examples = AttackExamples(rng.standard_normal((480, 6)),
                               np.array([1] * 300 + [0] * 180))
     counts = []
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=3),
-                                       np.random.default_rng(5))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
+                        np.random.default_rng(5))
     train_attacker(attacker, examples, epochs=100, rng=rng,
                    batch_hook=lambda f, t: counts.append((len(t), int(t.sum()))))
     ok = len(counts) == 400 and all(c == (128, 64) for c in counts)
@@ -301,7 +300,7 @@ def _independent_eval(model, datasets, seed):
     splits = split_for_attack(train_set, test_set,
                               np.random.default_rng(7000 + seed))
     at, _ = extract_examples(model, splits, "blackbox")
-    attacker = build_blackbox_attacker(
+    attacker = Attacker(
         AttackerSpec(mode="blackbox", classes=4),
         np.random.default_rng(8000 + seed))
     train_attacker(attacker, at, epochs=100,

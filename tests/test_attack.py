@@ -1,5 +1,7 @@
 """Membership-inference lifecycle tests: splits, features, training, scoring."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,10 @@ from sparseguard.attack import (
 )
 from sparseguard.data import LabeledSet, load_dataset
 from sparseguard.models import (
+    Attacker,
     AttackerSpec,
     TargetSpec,
-    build_blackbox_attacker,
     build_target,
-    build_whitebox_attacker,
     last_layer_gradient_length,
 )
 from sparseguard.numcore import Tape, Tensor
@@ -200,8 +201,8 @@ def separable_examples(n_per_class=200, classes=2, seed=0, gap=1.5):
 
 def test_train_attacker_rejects_single_class():
     ex = AttackExamples(np.zeros((10, 4)), np.ones(10, dtype=np.int64))
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=2),
-                                       np.random.default_rng(0))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
+                        np.random.default_rng(0))
     with pytest.raises(ValueError):
         train_attacker(attacker, ex, epochs=1, rng=np.random.default_rng(0))
 
@@ -211,8 +212,8 @@ def test_balanced_batches_exact_composition():
     # unbalance the classes: drop some non-members
     keep = np.concatenate([np.arange(150), 150 + np.arange(70)])
     ex = AttackExamples(ex.features[keep], ex.membership[keep])
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=2),
-                                       np.random.default_rng(0))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
+                        np.random.default_rng(0))
     seen = []
 
     def hook(feats, targets):
@@ -227,8 +228,8 @@ def test_balanced_batches_exact_composition():
 
 def test_tiny_classes_still_yield_full_batches():
     ex = separable_examples(n_per_class=20)
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=2),
-                                       np.random.default_rng(0))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
+                        np.random.default_rng(0))
     seen = []
     train_attacker(attacker, ex, epochs=2, rng=np.random.default_rng(0),
                    batch_hook=lambda f, t: seen.append((len(t), int(t.sum()))))
@@ -237,8 +238,8 @@ def test_tiny_classes_still_yield_full_batches():
 
 def test_attacker_learns_separable_features():
     ex = separable_examples(n_per_class=200, seed=4)
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=2),
-                                       np.random.default_rng(4))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
+                        np.random.default_rng(4))
     train_attacker(attacker, ex, epochs=15, rng=np.random.default_rng(4))
     out = attacker(ex.features).data
     assert balanced_accuracy(out, ex.membership) > 0.95
@@ -248,7 +249,7 @@ def test_train_attacker_deterministic():
     ex = separable_examples(n_per_class=100, seed=5)
     outs = []
     for _ in range(2):
-        attacker = build_blackbox_attacker(
+        attacker = Attacker(
             AttackerSpec(mode="blackbox", classes=2), np.random.default_rng(5))
         train_attacker(attacker, ex, epochs=3, rng=np.random.default_rng(5))
         outs.append(attacker(ex.features[:10]).data.tobytes())
@@ -263,8 +264,8 @@ def trained_setup(seed=0):
                                 "cluster_std": 1.5})
     target = small_target(classes=3, dim=4, seed=seed)
     splits = split_for_attack(train, test, np.random.default_rng(seed))
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=3),
-                                       np.random.default_rng(seed))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
+                        np.random.default_rng(seed))
     at, _ = extract_examples(target, splits, "blackbox")
     train_attacker(attacker, at, epochs=10, rng=np.random.default_rng(seed))
     return target, splits, attacker
@@ -272,7 +273,8 @@ def trained_setup(seed=0):
 
 def test_finetune_zero_epochs_is_identity():
     target, splits, attacker = trained_setup()
-    tuned = finetune_attacker(attacker, target, splits, epochs=0)
+    tuned = finetune_attacker(attacker, target, splits, epochs=0,
+                              learning_rate=0.001)
     assert tuned is not attacker
     for a, b in zip(attacker.params(), tuned.params()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -282,7 +284,7 @@ def test_finetune_preserves_parent():
     target, splits, attacker = trained_setup(seed=1)
     before = [p.data.copy() for p in attacker.params()]
     tuned = finetune_attacker(attacker, target, splits, epochs=2,
-                              rng=np.random.default_rng(1))
+                              rng=np.random.default_rng(1), learning_rate=0.001)
     for p, snap in zip(attacker.params(), before):
         assert p.data.tobytes() == snap.tobytes()
     changed = any(p.data.tobytes() != snap.tobytes()
@@ -293,7 +295,7 @@ def test_finetune_preserves_parent():
 def test_four_finetunes_are_distinct_instances():
     target, splits, attacker = trained_setup(seed=2)
     copies = [finetune_attacker(attacker, target, splits, epochs=1,
-                                rng=np.random.default_rng(k))
+                                rng=np.random.default_rng(k), learning_rate=0.001)
               for k in range(4)]
     ids = {id(c) for c in copies} | {id(attacker)}
     assert len(ids) == 5
@@ -303,9 +305,25 @@ def test_finetune_on_parent_model_is_stable():
     target, splits, attacker = trained_setup(seed=3)
     before = mia_accuracy(attacker, target, splits)
     tuned = finetune_attacker(attacker, target, splits, epochs=5,
-                              rng=np.random.default_rng(3))
+                              rng=np.random.default_rng(3), learning_rate=0.001)
     after = mia_accuracy(tuned, target, splits)
     assert abs(after - before) < 0.02
+
+
+def test_finetune_trains_at_the_given_learning_rate():
+    target, splits, attacker = trained_setup(seed=4)
+    reference = copy.deepcopy(attacker)
+    at, _ = extract_examples(target, splits, "blackbox")
+    train_attacker(reference, at, epochs=2, rng=np.random.default_rng(4),
+                   learning_rate=0.01)
+    tuned = finetune_attacker(attacker, target, splits, epochs=2,
+                              rng=np.random.default_rng(4), learning_rate=0.01)
+    slow = finetune_attacker(attacker, target, splits, epochs=2,
+                             rng=np.random.default_rng(4), learning_rate=0.001)
+    for a, b in zip(reference.params(), tuned.params()):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert any(a.data.tobytes() != b.data.tobytes()
+               for a, b in zip(tuned.params(), slow.params()))
 
 
 # ---------------------------------------------------------------- scoring
@@ -368,8 +386,8 @@ def test_overfit_lookup_target_is_attackable():
     splits = split_for_attack(train, test, np.random.default_rng(7))
     target = LookupTarget(train, classes=4)
     at, _ = extract_examples(target, splits, "blackbox")
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=4),
-                                       np.random.default_rng(7))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
+                        np.random.default_rng(7))
     train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(7))
     assert mia_accuracy(attacker, target, splits) > 0.60
 
@@ -380,8 +398,8 @@ def test_uniform_target_is_not_attackable():
     splits = split_for_attack(train, test, np.random.default_rng(8))
     target = UniformTarget(classes=4)
     at, _ = extract_examples(target, splits, "blackbox")
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=4),
-                                       np.random.default_rng(8))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
+                        np.random.default_rng(8))
     train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(8))
     assert abs(mia_accuracy(attacker, target, splits) - 0.5) <= 0.03
 
@@ -416,7 +434,7 @@ def test_overfitting_signal_is_monotone():
             target = build_target(spec, 1.0, np.random.default_rng(seed))
             fit_target(target, train, budget, seed=seed)
             at, _ = extract_examples(target, splits, "blackbox")
-            attacker = build_blackbox_attacker(
+            attacker = Attacker(
                 AttackerSpec(mode="blackbox", classes=4),
                 np.random.default_rng(seed))
             train_attacker(attacker, at, epochs=40,

@@ -85,12 +85,18 @@ def test_run_missing_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"batch_size": "32"}, "not supported"),
+    ({"batch_size": "32"}, "field batch_size must be an integer"),
     ({"dataset": {"kind": "csv", "path": "absent.csv", "test_fraction": 0.2,
                   "seed": 0}}, "absent.csv"),
     ({"dataset": dict(TOY_CONFIG["dataset"], dim=5)}, "features"),
     ({"dataset": dict(TOY_CONFIG["dataset"], classes=4)}, "class count"),
-], ids=["wrong type", "missing csv", "width", "labels"])
+    ({"learning_rate": "0.1"}, "field learning_rate must be a number"),
+    ({"probe_size": 12.5}, "field probe_size must be an integer"),
+    ({"early_stop": "yes"}, "field early_stop must be a boolean"),
+    ({"target": dict(TOY_CONFIG["target"], classes="3")},
+     "target field classes must be an integer"),
+], ids=["wrong type", "missing csv", "width", "labels", "string number",
+        "float integer", "string boolean", "target string integer"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)

@@ -6,16 +6,16 @@ import pytest
 from sparseguard.attack import attack_outputs
 from sparseguard.metrics import task_accuracy
 from sparseguard.models import (
+    Attacker,
     AttackerSpec,
     TargetSpec,
     build_attacker,
-    build_blackbox_attacker,
     build_target,
-    build_whitebox_attacker,
     last_layer_gradient_length,
     posteriors,
 )
-from sparseguard.numcore import Tape, ops
+from sparseguard.numcore import Tape, Tensor, ops
+from sparseguard.numcore.layers import Sequential
 from sparseguard.sparse import active_count, sparsity
 
 MLP_SPEC = TargetSpec(kind="mlp", input_shape=(64,), hidden=(32, 16), classes=4)
@@ -76,6 +76,25 @@ def test_cnn_target_shapes_and_masks():
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("spec", [
+    MLP_SPEC, TargetSpec(kind="cnn", input_shape=(1, 8, 8), classes=3)],
+    ids=["mlp", "cnn"])
+def test_penultimate_matches_forward_pass(spec):
+    rng = np.random.default_rng(15)
+    model = build_target(spec, 0.5, rng)
+    assert isinstance(model, Sequential)
+    assert [id(p) for p in model.params()] == [
+        id(p) for layer in model.layers for p in layer.params()]
+    x = rng.normal(size=(9, spec.input_width))
+    probs, hidden = model.penultimate(x)
+    assert np.array_equal(probs, posteriors(model, x))
+    head = model.layers.index(model.last_weight_layer())
+    t = Tensor(x)
+    for layer in model.layers[:head]:
+        t = layer(t)
+    assert np.array_equal(hidden, t.data)
+
+
 def test_last_layer_gradient_length():
     spec = TargetSpec(kind="mlp", input_shape=(8,), hidden=(16,), classes=4)
     model = build_target(spec, 1.0, np.random.default_rng(0))
@@ -86,8 +105,8 @@ def test_last_layer_gradient_length():
 
 
 def test_blackbox_attacker_shapes():
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=10),
-                                       np.random.default_rng(0))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=10),
+                        np.random.default_rng(0))
     assert attacker.feature_length == 20
     assert attacker.prob.layers[0].n_in == 10
     assert attacker.label.layers[0].n_in == 10
@@ -99,32 +118,32 @@ def test_blackbox_attacker_shapes():
 
 
 def test_fresh_attacker_outputs_near_half():
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=4),
-                                       np.random.default_rng(2))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
+                        np.random.default_rng(2))
     feats = np.random.default_rng(3).normal(size=(100, 8))
     out = attacker(feats).data
     assert np.all(np.abs(out - 0.5) < 0.05)
 
 
 def test_attacker_zero_input_exactly_half():
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=4),
-                                       np.random.default_rng(4))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
+                        np.random.default_rng(4))
     out = attacker(np.zeros((3, 8))).data
     np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
 
 def test_attacker_build_is_pure():
-    a = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=6),
-                                np.random.default_rng(7))
-    b = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=6),
-                                np.random.default_rng(7))
+    a = Attacker(AttackerSpec(mode="blackbox", classes=6),
+                 np.random.default_rng(7))
+    b = Attacker(AttackerSpec(mode="blackbox", classes=6),
+                 np.random.default_rng(7))
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa.data, pb.data)
 
 
 def test_whitebox_fusion_width_and_feature_length():
     spec = AttackerSpec(mode="whitebox", classes=4, grad_len=100)
-    attacker = build_whitebox_attacker(spec, np.random.default_rng(5))
+    attacker = Attacker(spec, np.random.default_rng(5))
     assert attacker.fusion.layers[0].n_in == 4 * 64
     assert attacker.feature_length == 4 + 4 + 1 + 100
     feats = np.random.default_rng(6).normal(size=(3, 109))
@@ -134,7 +153,7 @@ def test_whitebox_fusion_width_and_feature_length():
 
 def test_whitebox_sorts_posteriors_descending():
     spec = AttackerSpec(mode="whitebox", classes=3, grad_len=10)
-    attacker = build_whitebox_attacker(spec, np.random.default_rng(8))
+    attacker = Attacker(spec, np.random.default_rng(8))
     rng = np.random.default_rng(9)
     rest = rng.normal(size=(1, 3 + 1 + 10))
     base = np.concatenate([[[0.1, 0.7, 0.2]], rest], axis=1)
@@ -143,8 +162,8 @@ def test_whitebox_sorts_posteriors_descending():
 
 
 def test_blackbox_keeps_posteriors_unsorted():
-    attacker = build_blackbox_attacker(AttackerSpec(mode="blackbox", classes=3),
-                                       np.random.default_rng(10))
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
+                        np.random.default_rng(10))
     label = np.array([[1.0, 0.0, 0.0]])
     a = attacker(np.concatenate([[[0.1, 0.7, 0.2]], label], axis=1)).data
     b = attacker(np.concatenate([[[0.7, 0.2, 0.1]], label], axis=1)).data
@@ -164,13 +183,13 @@ def test_build_attacker_sizes_for_the_target():
 
 def test_whitebox_rejects_short_gradient():
     with pytest.raises(ValueError):
-        build_whitebox_attacker(AttackerSpec(mode="whitebox", classes=4, grad_len=4),
-                                np.random.default_rng(0))
+        Attacker(AttackerSpec(mode="whitebox", classes=4, grad_len=4),
+                 np.random.default_rng(0))
 
 
 def test_gradient_reaches_every_stream():
     spec = AttackerSpec(mode="whitebox", classes=4, grad_len=68)
-    attacker = build_whitebox_attacker(spec, np.random.default_rng(11))
+    attacker = Attacker(spec, np.random.default_rng(11))
     streams = {
         "prob": attacker.prob,
         "loss": attacker.loss_stream,
