@@ -30,7 +30,7 @@ def _document_fields() -> list:
             out.append(("dataset", dict))
             kind = dict
         elif f.name == "pairs":
-            kind, default = tuple, DEFAULT_PAIR_TAGS
+            kind, default = "tuple[str, ...]", DEFAULT_PAIR_TAGS
         out.append((f.name, kind, field(default=default)))
     return out + [("out_dir", str, field(default="runs"))]
 
@@ -49,11 +49,19 @@ _JSON_TYPES = {
 }
 
 
+def _check_json_type(value, kind: str, what: str) -> None:
+    accepted, noun = _JSON_TYPES[kind]
+    if (isinstance(value, bool) and bool not in accepted
+            or not isinstance(value, accepted)):
+        raise ValueError(f"{what} must be {noun}")
+
+
 def check_document(cls, doc: dict, prefix: str = "") -> None:
     """Check a JSON object against a dataclass's fields: every key must be a
     field, every field without a default must be present, and every value
-    must have the JSON type of its declared field type. A bool is not a
-    number, and a float is not an integer."""
+    must have the JSON type of its declared field type; the items of a
+    `tuple[T, ...]` field must have T's. A bool is not a number, and a float
+    is not an integer."""
     declared = {f.name: f for f in fields(cls)}
     for key in doc:
         if key not in declared:
@@ -65,14 +73,13 @@ def check_document(cls, doc: dict, prefix: str = "") -> None:
             continue
         value = doc[name]
         kind = f.type if isinstance(f.type, str) else f.type.__name__
-        if kind.endswith(" | None"):
-            if value is None:
-                continue
-            kind = kind[:-len(" | None")]
-        accepted, noun = _JSON_TYPES[kind]
-        if (isinstance(value, bool) and bool not in accepted
-                or not isinstance(value, accepted)):
-            raise ValueError(f"{prefix}field {name} must be {noun}")
+        if value is None and kind.endswith(" | None"):
+            continue
+        kind, _, item = (kind.removesuffix(" | None").removesuffix(", ...]")
+                         .partition("["))
+        _check_json_type(value, kind, f"{prefix}field {name}")
+        for i, v in enumerate(value if item else ()):
+            _check_json_type(v, item, f"{prefix}field {name}[{i}]")
 
 
 def parse_config(text: str) -> ExperimentConfig:

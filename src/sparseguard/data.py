@@ -6,6 +6,7 @@ feature-wise using statistics computed on the training split only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,17 @@ def _check_keys(desc: dict, required: set, optional: set):
     extra = keys - required - optional - {"kind"}
     if extra:
         raise ValueError(f"unknown dataset key: {sorted(extra)[0]}")
+
+
+def _number(desc: dict, key: str, kind: type, default=None):
+    """desc[key], or default when absent, as kind (int or float). A bool is
+    not a number, and a float is not an integer."""
+    value = desc.get(key, default)
+    accepted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"dataset key {key} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,31 +146,23 @@ def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ValueError("dataset descriptor must be a dict with a 'kind' key")
     kind = descriptor["kind"]
-    if kind == "blobs":
+    if kind in ("blobs", "spirals"):
         _check_keys(descriptor, {"classes", "n_train", "n_test", "seed"},
-                    {"dim", "center_spread", "cluster_std"})
-        rng = np.random.default_rng(int(descriptor["seed"]))
-        train, test = _make_blobs(
-            classes=int(descriptor["classes"]),
-            n_train=int(descriptor["n_train"]),
-            n_test=int(descriptor["n_test"]),
-            dim=int(descriptor.get("dim", 2)),
-            center_spread=float(descriptor.get("center_spread", 3.0)),
-            cluster_std=float(descriptor.get("cluster_std", 1.0)),
-            rng=rng,
-        )
-    elif kind == "spirals":
-        _check_keys(descriptor, {"classes", "n_train", "n_test", "seed"},
-                    {"noise", "turns"})
-        rng = np.random.default_rng(int(descriptor["seed"]))
-        train, test = _make_spirals(
-            classes=int(descriptor["classes"]),
-            n_train=int(descriptor["n_train"]),
-            n_test=int(descriptor["n_test"]),
-            noise=float(descriptor.get("noise", 0.1)),
-            turns=float(descriptor.get("turns", 1.5)),
-            rng=rng,
-        )
+                    {"dim", "center_spread", "cluster_std"} if kind == "blobs"
+                    else {"noise", "turns"})
+        rng = np.random.default_rng(_number(descriptor, "seed", int))
+        sizes = {key: _number(descriptor, key, int)
+                 for key in ("classes", "n_train", "n_test")}
+        if kind == "blobs":
+            train, test = _make_blobs(
+                **sizes, dim=_number(descriptor, "dim", int, 2),
+                center_spread=_number(descriptor, "center_spread", float, 3.0),
+                cluster_std=_number(descriptor, "cluster_std", float, 1.0),
+                rng=rng)
+        else:
+            train, test = _make_spirals(
+                **sizes, noise=_number(descriptor, "noise", float, 0.1),
+                turns=_number(descriptor, "turns", float, 1.5), rng=rng)
     elif kind == "csv":
         _check_keys(descriptor, {"path"},
                     {"test_path", "test_fraction", "seed", "delimiter"})
@@ -171,10 +175,10 @@ def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
             if "test_fraction" not in descriptor or "seed" not in descriptor:
                 raise ValueError(
                     "csv descriptor needs test_path, or test_fraction and seed")
-            frac = float(descriptor["test_fraction"])
+            frac = _number(descriptor, "test_fraction", float)
             if not 0.0 < frac < 1.0:
                 raise ValueError(f"test_fraction must be in (0, 1), got {frac}")
-            rng = np.random.default_rng(int(descriptor["seed"]))
+            rng = np.random.default_rng(_number(descriptor, "seed", int))
             perm = rng.permutation(len(y))
             n_test = int(np.floor(frac * len(y)))
             test_idx, train_idx = perm[:n_test], perm[n_test:]

@@ -38,10 +38,10 @@ ATTACKER_INIT_STD = 0.01
 @dataclass(frozen=True)
 class TargetSpec:
     kind: str                      # "mlp" or "cnn"
-    input_shape: tuple             # (d,) for mlp, (c, h, w) for cnn
+    input_shape: tuple[int, ...]   # (d,) for mlp, (c, h, w) for cnn
     classes: int
-    hidden: tuple = (300, 100)     # mlp hidden widths
-    channels: tuple = (16, 32)     # cnn conv channels
+    hidden: tuple[int, ...] = (300, 100)    # mlp hidden widths
+    channels: tuple[int, ...] = (16, 32)    # cnn conv channels
     kernel: int = 3
 
     def __post_init__(self):

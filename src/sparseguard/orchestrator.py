@@ -62,7 +62,7 @@ class RunConfig:
     beta: float = 0.1
     lam: float = 1.0
     learning_rate: float = 0.1
-    lr_milestones: tuple = (0.5, 0.75)
+    lr_milestones: tuple[float, ...] = (0.5, 0.75)
     lr_decay: float = 0.1
     attacker_mode: str = "blackbox"
     attacker_epochs_first: int = 100

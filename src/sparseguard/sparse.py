@@ -3,8 +3,9 @@ density budget, sparsity accounting, the two pruning and two growth
 strategies, and the count-preserving dynamic update.
 
 A "model" here is anything with masked_layers() returning layers whose .w is
-a Parameter carrying a 0/1 float mask of the same shape. Positions are
-addressed as (layer_index, flat_row_major_index) pairs.
+a Parameter carrying a 0/1 float mask of the same shape. Prune and grow act
+on one layer at a time and address its positions as flat row-major indices
+into that layer's weight tensor.
 """
 
 from __future__ import annotations
@@ -98,13 +99,9 @@ def active_count(model) -> int:
     return int(sum(np.count_nonzero(l.mask) for l in model.masked_layers()))
 
 
-def maskable_count(model) -> int:
-    return int(sum(l.w.data.size for l in model.masked_layers()))
-
-
 def sparsity(model) -> float:
     """Kept fraction: sum_k ||M^k||_0 / sum_k size(W^k), maskable layers only."""
-    return active_count(model) / maskable_count(model)
+    return active_count(model) / sum(l.w.data.size for l in model.masked_layers())
 
 
 def er_initialize(model, omega: float, rng: np.random.Generator):
@@ -140,16 +137,12 @@ def er_initialize(model, omega: float, rng: np.random.Generator):
     elif diff < 0:
         candidates = np.flatnonzero(flat == 0.0)
         flat[rng.choice(candidates, size=-diff, replace=False)] = 1.0
-    offset = 0
-    for layer, mask in zip(layers, masks):
-        size = mask.size
-        mask[...] = flat[offset:offset + size].reshape(mask.shape)
-        offset += size
-
-    for layer, mask, (_, fan_in) in zip(layers, masks, dims):
+    bounds = np.cumsum([m.size for m in masks])[:-1]
+    for layer, part, (_, fan_in) in zip(layers, np.split(flat, bounds), dims):
+        mask = part.reshape(layer.w.data.shape)
         layer.w.mask[...] = mask
         layer.w.data[...] = rng.normal(
-            0.0, math.sqrt(2.0 / fan_in), layer.w.data.shape) * mask
+            0.0, math.sqrt(2.0 / fan_in), mask.shape) * mask
 
     model.omega = omega
     model.epsilon = eps
@@ -160,150 +153,87 @@ def _flat_views(layer):
     return layer.w.data.reshape(-1), layer.w.mask.reshape(-1)
 
 
-def prune_magnitude(model, count_per_layer: dict) -> set:
-    """Deactivate the count smallest-|w| active weights per layer; ties go to
-    the lowest flat index. Returns the set of (layer, flat index) removed."""
-    removed = set()
-    for k, layer in enumerate(model.masked_layers()):
-        count = int(count_per_layer.get(k, 0))
-        if count == 0:
-            continue
-        w, m = _flat_views(layer)
-        act = np.flatnonzero(m == 1.0)
-        if count > act.size:
-            raise ValueError(
-                f"layer {k}: cannot prune {count} of {act.size} active weights")
-        order = np.lexsort((act, np.abs(w[act])))
-        chosen = act[order[:count]]
-        m[chosen] = 0.0
-        w[chosen] = 0.0
-        removed.update((k, int(i)) for i in chosen)
-    return removed
+def _set_mask(layer, chosen: np.ndarray, value: float) -> np.ndarray:
+    # pruned weights are dead and grown weights start at 0
+    w, m = _flat_views(layer)
+    m[chosen] = value
+    w[chosen] = 0.0
+    return chosen
 
 
-def prune_threshold(model, tau: float) -> set:
-    """Deactivate every active weight with |w| < tau."""
+def prune_magnitude(layer, count: int) -> np.ndarray:
+    """Deactivate the count smallest-|w| active weights of a layer; ties go
+    to the lowest flat index. Returns the removed flat indices, ascending."""
+    w, m = _flat_views(layer)
+    act = np.flatnonzero(m == 1.0)
+    if count > act.size:
+        raise ValueError(f"cannot prune {count} of {act.size} active weights")
+    order = np.lexsort((act, np.abs(w[act])))
+    return _set_mask(layer, np.sort(act[order[:count]]), 0.0)
+
+
+def prune_threshold(layer, tau: float) -> np.ndarray:
+    """Deactivate every active weight of a layer with |w| < tau. Returns the
+    removed flat indices, ascending."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    removed = set()
-    for k, layer in enumerate(model.masked_layers()):
-        w, m = _flat_views(layer)
-        chosen = np.flatnonzero((m == 1.0) & (np.abs(w) < tau))
-        m[chosen] = 0.0
-        w[chosen] = 0.0
-        removed.update((k, int(i)) for i in chosen)
-    return removed
-
-
-def _grow(layer, k, chosen, grown):
     w, m = _flat_views(layer)
-    m[chosen] = 1.0
-    w[chosen] = 0.0  # grown weights start at 0
-    grown.update((k, int(i)) for i in chosen)
+    return _set_mask(layer, np.flatnonzero((m == 1.0) & (np.abs(w) < tau)), 0.0)
 
 
-def _inactive_pool(layer, k: int, count: int, exclude: set | None) -> np.ndarray:
-    """Flat indices of layer k's inactive positions outside exclude; there
-    must be at least count of them."""
-    _, m = _flat_views(layer)
-    pool = np.flatnonzero(m == 0.0)
-    if exclude:
-        banned = {f for kk, f in exclude if kk == k}
-        if banned:
-            pool = pool[~np.isin(pool, list(banned))]
-    if count > pool.size:
-        raise ValueError(
-            f"layer {k}: cannot grow {count} of {pool.size} inactive positions")
-    return pool
+def grow_gradient(layer, gradient, pool: np.ndarray, count: int) -> np.ndarray:
+    """Activate the count positions of pool (ascending inactive flat indices)
+    with the largest |dL/dw| in the dense pre-mask gradient; ties go to the
+    lowest flat index. Returns the grown flat indices."""
+    g = np.asarray(gradient).reshape(-1)
+    order = np.lexsort((pool, -np.abs(g[pool])))
+    return _set_mask(layer, pool[order[:count]], 1.0)
 
 
-def grow_gradient(model, dense_gradients: dict, counts: dict, rng,
-                  exclude: set | None = None) -> set:
-    """Activate the counts[k] inactive positions with largest |dL/dw| per
-    layer, using the dense pre-mask gradients; ties go to the lowest flat
-    index. rng is accepted for signature symmetry and unused. Positions in
-    exclude are not considered."""
-    del rng
-    grown = set()
-    for k, layer in enumerate(model.masked_layers()):
-        count = int(counts.get(k, 0))
-        if count == 0:
-            continue
-        g = np.asarray(dense_gradients[k]).reshape(-1)
-        pool = _inactive_pool(layer, k, count, exclude)
-        order = np.lexsort((pool, -np.abs(g[pool])))
-        _grow(layer, k, pool[order[:count]], grown)
-    return grown
-
-
-def grow_random(model, counts: dict, rng: np.random.Generator,
-                exclude: set | None = None) -> set:
-    """Activate counts[k] inactive positions per layer, uniformly without
-    replacement. Positions in exclude are not considered."""
-    grown = set()
-    for k, layer in enumerate(model.masked_layers()):
-        count = int(counts.get(k, 0))
-        if count == 0:
-            continue
-        pool = _inactive_pool(layer, k, count, exclude)
-        _grow(layer, k, rng.choice(pool, size=count, replace=False), grown)
-    return grown
+def grow_random(layer, pool: np.ndarray, count: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Activate count positions of pool (ascending inactive flat indices),
+    uniformly without replacement. Returns the grown flat indices."""
+    return _set_mask(layer, rng.choice(pool, size=count, replace=False), 1.0)
 
 
 def sparse_update(model, pair: StrategyPair, prune_rate: float, tau: float,
                   dense_gradients: dict, rng: np.random.Generator):
     """Prune then regrow a deep copy of the model, preserving the active
-    count of every layer exactly. Just-pruned positions are excluded from
-    regrowth; in the degenerate near-dense case where the remaining inactive
-    pool is too small, the shortfall is regrown from the pruned pool so the
-    count contract always holds."""
+    count of every layer exactly. A threshold that wipes out a layer raises
+    DegenerateUpdateError. Each layer regrows from its pre-prune inactive
+    positions; when those are too few (near-dense), a second pass over the
+    layers regrows the shortfall from the just-pruned positions."""
     if not 0.0 < prune_rate < 1.0:
         raise ValueError("prune_rate must be in (0, 1)")
     new = copy.deepcopy(model)
     layers = new.masked_layers()
 
-    if pair.prune == "magnitude":
-        counts = {}
-        for k, layer in enumerate(layers):
-            act = int(np.count_nonzero(layer.mask))
-            n = math.floor(prune_rate * act)
-            if n == 0 and act > 1:
-                n = 1
-            counts[k] = n
-        pruned = prune_magnitude(new, counts)
-    else:
-        for k, layer in enumerate(layers):
-            w, m = _flat_views(layer)
-            act = np.count_nonzero(m)
-            doomed = np.count_nonzero((m == 1.0) & (np.abs(w) < tau))
-            if act > 0 and doomed == act:
+    def grow(k, pool, count):  # a count of 0 makes no random draw
+        if count and pair.grow == "gradient":
+            grow_gradient(layers[k], dense_gradients[k], pool, count)
+        elif count:
+            grow_random(layers[k], pool, count, rng)
+
+    plan = []  # per layer: (active count, pre-prune inactive pool, pruned)
+    for k, layer in enumerate(layers):
+        act = int(np.count_nonzero(layer.mask))
+        pool = np.flatnonzero(layer.mask.reshape(-1) == 0.0)
+        if pair.prune == "magnitude":
+            pruned = prune_magnitude(
+                layer, max(math.floor(prune_rate * act), int(act > 1)))
+        else:
+            pruned = prune_threshold(layer, tau)
+            if act > 0 and pruned.size == act:
                 raise DegenerateUpdateError(
                     f"threshold {tau} wipes out all {act} active weights in layer {k}")
-        pruned = prune_threshold(new, tau)
+        plan.append((act, pool, pruned))
 
-    grow_counts = {}
-    for k, _ in enumerate(layers):
-        grow_counts[k] = sum(1 for kk, _ in pruned if kk == k)
-
-    # split per layer into what fits outside the pruned set and any shortfall
-    main, fallback = {}, {}
-    for k, layer in enumerate(layers):
-        _, m = _flat_views(layer)
-        inactive = int(np.count_nonzero(m == 0.0))
-        pruned_k = grow_counts[k]
-        room = inactive - pruned_k
-        main[k] = min(grow_counts[k], room)
-        fallback[k] = grow_counts[k] - main[k]
-
-    if pair.grow == "gradient":
-        grown = grow_gradient(new, dense_gradients, main, rng, exclude=pruned)
-        if any(fallback.values()):
-            grown |= grow_gradient(new, dense_gradients, fallback, rng)
-    else:
-        grown = grow_random(new, main, rng, exclude=pruned)
-        if any(fallback.values()):
-            grown |= grow_random(new, fallback, rng)
-    assert len(grown) == len(pruned)
+    for k, (_, pool, pruned) in enumerate(plan):
+        grow(k, pool, min(pruned.size, pool.size))
+    for k, (act, pool, pruned) in enumerate(plan):
+        grow(k, pruned, max(pruned.size - pool.size, 0))
+        assert np.count_nonzero(layers[k].mask) == act
     return new
 
 

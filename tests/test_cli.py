@@ -95,8 +95,18 @@ def test_run_missing_config_file(tmp_path):
     ({"early_stop": "yes"}, "field early_stop must be a boolean"),
     ({"target": dict(TOY_CONFIG["target"], classes="3")},
      "target field classes must be an integer"),
+    ({"pairs": [1]}, "field pairs[0] must be a string"),
+    ({"lr_milestones": ["0.5"]}, "field lr_milestones[0] must be a number"),
+    ({"target": dict(TOY_CONFIG["target"], hidden=[12.5, 8])},
+     "target field hidden[0] must be an integer"),
+    ({"target": dict(TOY_CONFIG["target"], input_shape=["4"])},
+     "target field input_shape[0] must be an integer"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], n_train=128.7)},
+     "dataset key n_train must be an integer"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
-        "float integer", "string boolean", "target string integer"])
+        "float integer", "string boolean", "target string integer",
+        "integer pair tag", "string milestone", "float hidden width",
+        "string input width", "float dataset count"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)

@@ -47,6 +47,43 @@ def test_blobs_rejects_unknown_key():
                       "n_test": 10, "seed": 0, "wat": 1})
 
 
+BLOBS = {"kind": "blobs", "classes": 3, "n_train": 30, "n_test": 12,
+         "seed": 0}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_train": 128.7}, "dataset key n_train must be an integer"),
+    ({"seed": True}, "dataset key seed must be an integer"),
+    ({"classes": 3.0}, "dataset key classes must be an integer"),
+    ({"dim": "4"}, "dataset key dim must be an integer"),
+    ({"cluster_std": "1.2"}, "dataset key cluster_std must be a number"),
+    ({"center_spread": False}, "dataset key center_spread must be a number"),
+    ({"kind": "spirals", "n_test": None}, "dataset key n_test must be an integer"),
+    ({"kind": "spirals", "noise": [0.1]}, "dataset key noise must be a number"),
+], ids=["float count", "bool seed", "integral float", "string integer",
+        "string float", "bool float", "null count", "list float"])
+def test_wrongly_typed_descriptor_values_rejected(change, message):
+    with pytest.raises(ValueError, match=message):
+        load_dataset(dict(BLOBS, **change))
+
+
+def test_csv_wrongly_typed_split_values_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i},{i % 2}\n" for i in range(10)))
+    desc = {"kind": "csv", "path": str(path), "test_fraction": 0.2, "seed": 1}
+    load_dataset(desc)
+    with pytest.raises(ValueError, match="dataset key seed must be an integer"):
+        load_dataset(dict(desc, seed=1.5))
+    with pytest.raises(ValueError, match="test_fraction must be a number"):
+        load_dataset(dict(desc, test_fraction="0.2"))
+
+
+def test_numeric_descriptor_values_accept_numpy_scalars():
+    train, _ = load_dataset(dict(BLOBS, n_train=np.int64(30),
+                                 cluster_std=np.float64(1.5)))
+    assert len(train) == 30
+
+
 def test_empty_split_rejected():
     with pytest.raises(ValueError):
         load_dataset({"kind": "blobs", "classes": 2, "n_train": 0,

@@ -52,6 +52,11 @@ def single_layer(weights, mask):
     return net, layer
 
 
+def inactive_pool(layer):
+    """A layer's inactive flat indices, ascending: the pool growth draws from."""
+    return np.flatnonzero(layer.mask.reshape(-1) == 0.0)
+
+
 # ------------------------------------------------------------ ER formulas
 
 
@@ -143,22 +148,22 @@ def test_sparsity_direct_counts():
 
 
 def test_prune_magnitude_frozen_cases():
-    net, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
-    removed = prune_magnitude(net, {0: 2})
-    assert removed == {(0, 1), (0, 3)}
+    _, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
+    removed = prune_magnitude(layer, 2)
+    assert removed.tolist() == [1, 3]
     assert layer.w.data[0, 1] == 0.0 and layer.mask[0, 1] == 0.0
 
-    net, _ = single_layer([0.5, 0.5, 0.1], [1, 1, 1])
-    assert prune_magnitude(net, {0: 1}) == {(0, 2)}
+    _, layer = single_layer([0.5, 0.5, 0.1], [1, 1, 1])
+    assert prune_magnitude(layer, 1).tolist() == [2]
 
-    net, _ = single_layer([0.2, -0.2], [1, 1])
-    assert prune_magnitude(net, {0: 1}) == {(0, 0)}
+    _, layer = single_layer([0.2, -0.2], [1, 1])
+    assert prune_magnitude(layer, 1).tolist() == [0]
 
 
 def test_prune_magnitude_count_too_large():
-    net, _ = single_layer([0.5, 0.0], [1, 0])
+    _, layer = single_layer([0.5, 0.0], [1, 0])
     with pytest.raises(ValueError):
-        prune_magnitude(net, {0: 2})
+        prune_magnitude(layer, 2)
 
 
 def test_prune_magnitude_brute_force_oracle():
@@ -172,39 +177,39 @@ def test_prune_magnitude_brute_force_oracle():
         if act.size == 0:
             continue
         count = int(rng.integers(0, act.size + 1))
-        net, _ = single_layer(weights, mask)
-        removed = {flat for _, flat in prune_magnitude(net, {0: count})}
+        _, layer = single_layer(weights, mask)
+        removed = set(prune_magnitude(layer, count).tolist())
         reference = sorted(act, key=lambda i: (abs(weights[i]), i))[:count]
         assert removed == set(reference)
 
 
 def test_prune_threshold_frozen_cases():
-    net, _ = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
-    assert prune_threshold(net, 0.05) == {(0, 1), (0, 3)}
+    _, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
+    assert prune_threshold(layer, 0.05).tolist() == [1, 3]
 
-    net, _ = single_layer([0.5, -0.01], [1, 1])
-    assert prune_threshold(net, 0.0) == set()
+    _, layer = single_layer([0.5, -0.01], [1, 1])
+    assert prune_threshold(layer, 0.0).tolist() == []
 
-    net, _ = single_layer([0.5, -0.01, 0.3], [1, 1, 1])
-    assert prune_threshold(net, np.inf) == {(0, 0), (0, 1), (0, 2)}
+    _, layer = single_layer([0.5, -0.01, 0.3], [1, 1, 1])
+    assert prune_threshold(layer, np.inf).tolist() == [0, 1, 2]
 
 
 # ------------------------------------------------------------------ growth
 
 
 def test_grow_gradient_frozen_case():
-    net, layer = single_layer([0.4, 0.0, 0.0, 0.0, 0.2], [1, 0, 0, 0, 1])
-    grads = {0: np.array([[5.0, 0.9, 1.2, 0.05, 5.0]])}
-    grown = grow_gradient(net, grads, {0: 2}, np.random.default_rng(0))
-    assert grown == {(0, 1), (0, 2)}
+    _, layer = single_layer([0.4, 0.0, 0.0, 0.0, 0.2], [1, 0, 0, 0, 1])
+    grads = np.array([[5.0, 0.9, 1.2, 0.05, 5.0]])
+    grown = grow_gradient(layer, grads, inactive_pool(layer), 2)
+    assert sorted(grown.tolist()) == [1, 2]
     assert layer.w.data[0, 1] == 0.0 and layer.mask[0, 1] == 1.0
-    assert grow_gradient(net, grads, {0: 0}, np.random.default_rng(0)) == set()
+    assert grow_gradient(layer, grads, inactive_pool(layer), 0).tolist() == []
 
 
 def test_grow_gradient_tie_breaks_low_index():
-    net, _ = single_layer([1.0, 0.0, 0.0], [1, 0, 0])
-    grads = {0: np.array([[0.0, 0.7, -0.7]])}
-    assert grow_gradient(net, grads, {0: 1}, np.random.default_rng(0)) == {(0, 1)}
+    _, layer = single_layer([1.0, 0.0, 0.0], [1, 0, 0])
+    grads = np.array([[0.0, 0.7, -0.7]])
+    assert grow_gradient(layer, grads, inactive_pool(layer), 1).tolist() == [1]
 
 
 def test_grow_gradient_brute_force_oracle():
@@ -218,24 +223,28 @@ def test_grow_gradient_brute_force_oracle():
         if inactive.size == 0:
             continue
         count = int(rng.integers(0, inactive.size + 1))
-        net, _ = single_layer(weights, mask)
-        grown = {f for _, f in grow_gradient(net, {0: grads.reshape(1, -1)},
-                                             {0: count}, np.random.default_rng(0))}
+        _, layer = single_layer(weights, mask)
+        grown = set(grow_gradient(layer, grads.reshape(1, -1), inactive_pool(layer),
+                                  count).tolist())
         reference = sorted(inactive, key=lambda i: (-abs(grads[i]), i))[:count]
         assert grown == set(reference)
 
 
 def test_grow_random_forced_and_deterministic():
-    net, _ = single_layer([0.5, 0.0, 0.7], [1, 0, 1])
-    assert grow_random(net, {0: 1}, np.random.default_rng(3)) == {(0, 1)}
+    _, layer = single_layer([0.5, 0.0, 0.7], [1, 0, 1])
+    assert grow_random(layer, inactive_pool(layer), 1,
+                       np.random.default_rng(3)).tolist() == [1]
 
     rng = np.random.default_rng(11)
     net2 = Net([10, 6, 4], rng)
     er_initialize(net2, 0.3, np.random.default_rng(1))
-    counts = {0: 5, 1: 2}
-    a = grow_random(copy.deepcopy(net2), counts, np.random.default_rng(77))
-    b = grow_random(copy.deepcopy(net2), counts, np.random.default_rng(77))
-    assert a == b
+
+    def grow_both(net):
+        draw = np.random.default_rng(77)
+        return [grow_random(l, inactive_pool(l), c, draw).tolist()
+                for l, c in zip(net.layers, (5, 2))]
+
+    assert grow_both(copy.deepcopy(net2)) == grow_both(copy.deepcopy(net2))
 
 
 # ----------------------------------------------------------- sparse_update
@@ -313,6 +322,56 @@ def test_sparse_update_threshold_wipeout_raises():
     with pytest.raises(DegenerateUpdateError):
         sparse_update(net, StrategyPair("threshold", "random"), 0.2, np.inf,
                       make_grads(net, rng), np.random.default_rng(3))
+
+
+def near_dense_net():
+    """Layer 0 has 11 of 12 weights active, so pruning it leaves a smaller
+    inactive pool than it needs and the shortfall is regrown from the
+    just-pruned positions; layer 1 has 6 of 15 active."""
+    net = Net([4, 3, 5], np.random.default_rng(21))
+    first, second = net.layers
+    first.mask.reshape(-1)[5] = 0.0
+    second.mask[...] = 0.0
+    second.mask.reshape(-1)[[0, 4, 7, 9, 12, 14]] = 1.0
+    for layer in net.layers:
+        layer.w.data *= layer.mask
+    grads = {k: np.random.default_rng(22 + k).normal(size=l.w.data.shape)
+             for k, l in enumerate(net.layers)}
+    return net, grads
+
+
+@pytest.mark.parametrize("pair, grown", [
+    (StrategyPair("magnitude", "gradient"), [[0, 4, 5], [3]]),
+    (StrategyPair("magnitude", "random"), [[4, 5, 8], [1]]),
+    (StrategyPair("threshold", "gradient"), [[0, 4, 5, 10], [3, 5, 13]]),
+    (StrategyPair("threshold", "random"), [[0, 4, 5, 10], [1, 5, 8]]),
+], ids=lambda v: v.tag() if isinstance(v, StrategyPair) else None)
+def test_sparse_update_near_dense_regrowth_is_pinned(pair, grown):
+    net, grads = near_dense_net()
+    out = sparse_update(net, pair, 0.3, 0.3, grads, np.random.default_rng(23))
+    # grown weights start at 0 and every surviving parent weight is nonzero
+    assert [np.flatnonzero((l.mask == 1.0) & (l.w.data == 0.0)).tolist()
+            for l in out.layers] == grown
+    assert active_count(out) == active_count(net)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=StrategyPair.tag)
+def test_sparse_update_dense_layer_keeps_mask(pair):
+    net, grads = near_dense_net()
+    first = net.layers[0]
+    first.mask[...] = 1.0
+    first.w.data[...] = np.random.default_rng(24).normal(0.0, 0.5, (3, 4))
+    out = sparse_update(net, pair, 0.3, 0.3, grads, np.random.default_rng(23))
+    w = first.w.data.reshape(-1)
+    if pair.prune == "magnitude":
+        pruned = np.argsort(np.abs(w), kind="stable")[:3]
+    else:
+        pruned = np.flatnonzero(np.abs(w) < 0.3)
+    assert pruned.size > 0
+    expected = w.copy()
+    expected[pruned] = 0.0
+    assert np.array_equal(out.layers[0].mask, first.mask)
+    assert np.array_equal(out.layers[0].w.data.reshape(-1), expected)
 
 
 def test_strategy_pairs_enumeration():
