@@ -128,11 +128,9 @@ def _class_stream(idx: np.ndarray, need: int,
 
 
 def train_attacker(attacker, examples: AttackExamples, epochs: int,
-                   rng: np.random.Generator | None = None,
-                   learning_rate: float = 0.001, batch_hook=None):
+                   rng: np.random.Generator, *, learning_rate: float,
+                   batch_hook=None):
     """Train the attacker on balanced 64+64 member/non-member batches."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     members = np.flatnonzero(examples.membership == 1)
     nonmembers = np.flatnonzero(examples.membership == 0)
     if len(members) == 0 or len(nonmembers) == 0:
@@ -160,8 +158,7 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int,
 
 
 def finetune_attacker(attacker, candidate, splits: AttackSplits, epochs: int,
-                      rng: np.random.Generator | None = None, *,
-                      learning_rate: float):
+                      rng: np.random.Generator, *, learning_rate: float):
     """Copy the attacker and adapt the copy to one candidate model.
 
     The parent attacker (trained against the candidates' shared parent model)

@@ -22,7 +22,12 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, to_run_config, with_overrides
 from .data import load_dataset
 from .models import build_attacker
-from .orchestrator import RngTree, check_dataset_fits, run_compression
+from .orchestrator import (
+    RngTree,
+    RunConfig,
+    check_dataset_fits,
+    run_compression,
+)
 from .report import pretty_table, read_report, summary_record, write_record
 
 
@@ -102,7 +107,8 @@ def cmd_attack_eval(args) -> int:
         examples, attack_eval = extract_examples(ckpt.model, splits, mode)
         attacker = build_attacker(mode, ckpt.model, seq.next())
         train_attacker(attacker, examples, epochs=args.attacker_epochs,
-                       rng=seq.next())
+                       rng=seq.next(),
+                       learning_rate=RunConfig.attacker_learning_rate)
         acc = mia_accuracy(attacker, ckpt.model, splits)
         gain = mia_gain(attacker, ckpt.model, splits)
         outputs = attack_outputs(attacker, attack_eval.features)
@@ -176,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "descriptor recorded in the checkpoint)")
     eval_p.add_argument("--mode", choices=MODES, default=None,
                         help="attack mode; must match the checkpoint")
-    eval_p.add_argument("--attacker-epochs", type=int, default=100)
+    eval_p.add_argument("--attacker-epochs", type=int,
+                        default=RunConfig.attacker_epochs_first)
     eval_p.add_argument("--seed", type=int, default=None)
     eval_p.set_defaults(func=cmd_attack_eval)
 

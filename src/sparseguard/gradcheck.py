@@ -131,9 +131,8 @@ def _entropy_loss_case(variant):
         x = rng.normal(size=(5, 4))
         layer = Linear(4, 3, rng, weight_scale=1.0)
         y = _labels(rng, 5, 3)
-        config = metrics.EntropyConfig(beta=0.1, variant=variant)
         loss = lambda: metrics.training_loss(
-            ops.softmax(layer(Tensor(x))), y, config)
+            ops.softmax(layer(Tensor(x))), y, variant, 0.1)
         return [layer.w, layer.b], loss
     return build
 

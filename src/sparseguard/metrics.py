@@ -1,10 +1,9 @@
 """Task-side losses and scores: prediction entropy, the two entropy
 regularized losses, task accuracy, and the accuracy-to-attackability score
-used to rank candidate topologies."""
+used to rank candidate topologies. The losses take the entropy weight `beta`
+and the score the exponent `lam` as plain numbers; `RunConfig` checks both."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,25 +11,6 @@ from .models import posteriors
 from .numcore import Tensor, ops
 
 VARIANTS = ("none", "re1", "re2")
-
-
-@dataclass
-class EntropyConfig:
-    beta: float = 0.1
-    variant: str = "none"
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-
-
-@dataclass
-class ScorePair:
-    task_acc: float
-    mia_acc: float
-    lam: float = 1.0
 
 
 def entropy(probability_row: np.ndarray) -> float:
@@ -41,29 +21,33 @@ def entropy(probability_row: np.ndarray) -> float:
     return float(-(p * np.log(np.clip(p, ops.CLAMP, 1.0))).sum())
 
 
-def loss_re1(probabilities: Tensor, labels, config: EntropyConfig) -> Tensor:
+def loss_re1(probabilities: Tensor, labels, beta: float) -> Tensor:
     """Cross-entropy minus beta times the mean per-row entropy of the batch."""
     ce = ops.cross_entropy(probabilities, labels)
     ent = ops.row_entropy_mean(probabilities)
-    return ops.add(ce, ops.scale(ent, -config.beta))
+    return ops.add(ce, ops.scale(ent, -beta))
 
 
-def loss_re2(probabilities: Tensor, labels, config: EntropyConfig) -> Tensor:
+def loss_re2(probabilities: Tensor, labels, beta: float) -> Tensor:
     """Cross-entropy minus beta times the mean entropy over misclassified
     rows; with no misclassified rows the entropy term is 0."""
     ce = ops.cross_entropy(probabilities, labels)
     preds = probabilities.data.argmax(axis=1)
     wrong = np.flatnonzero(preds != np.asarray(labels))
     ent = ops.row_entropy_mean(probabilities, rows=wrong)
-    return ops.add(ce, ops.scale(ent, -config.beta))
+    return ops.add(ce, ops.scale(ent, -beta))
 
 
-def training_loss(probabilities: Tensor, labels, config: EntropyConfig) -> Tensor:
-    if config.variant == "re1":
-        return loss_re1(probabilities, labels, config)
-    if config.variant == "re2":
-        return loss_re2(probabilities, labels, config)
-    return ops.cross_entropy(probabilities, labels)
+def training_loss(probabilities: Tensor, labels, variant: str,
+                  beta: float) -> Tensor:
+    """The loss `variant` names: plain cross-entropy, re1 or re2."""
+    if variant == "re1":
+        return loss_re1(probabilities, labels, beta)
+    if variant == "re2":
+        return loss_re2(probabilities, labels, beta)
+    if variant == "none":
+        return ops.cross_entropy(probabilities, labels)
+    raise ValueError(f"variant must be one of {VARIANTS}")
 
 
 def _unpack(dataset):
@@ -82,8 +66,8 @@ def task_accuracy(model, dataset) -> float:
     return float(np.mean(preds == np.asarray(y)))
 
 
-def tm_score(pair: ScorePair) -> float:
-    """task_acc^lambda / mia_acc."""
-    if pair.mia_acc <= 0.0:
+def tm_score(task_acc: float, mia_acc: float, lam: float) -> float:
+    """task_acc^lam / mia_acc."""
+    if mia_acc <= 0.0:
         raise ValueError("mia_acc must be positive to form the score")
-    return pair.task_acc ** pair.lam / pair.mia_acc
+    return task_acc ** lam / mia_acc

@@ -7,11 +7,15 @@ after each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import check_finite
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def sgd_step(params, learning_rate: float) -> None:
@@ -35,18 +39,17 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, state: AdamState, learning_rate: float = 0.001,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params, state: AdamState, learning_rate: float) -> None:
     """Textbook bias-corrected update; moments updated in place."""
     state.t += 1
     t = state.t
     for i, p in enumerate(params):
         g = p.grad
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1 ** t)
-        v_hat = state.v[i] / (1.0 - beta2 ** t)
-        update = learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if p.mask is not None:
             update = update * p.mask
         check_finite(update, "adam update")
@@ -59,14 +62,10 @@ class LrSchedule:
     """Multi-step decay: rate(e) = base_rate * decay_factor^(#milestones <= e)."""
 
     base_rate: float
-    milestones: list = field(default_factory=list)
-    decay_factor: float = 0.1
+    milestones: tuple
+    decay_factor: float
 
     def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in (0, 1)")
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError("milestones must be strictly increasing")
 

@@ -4,8 +4,8 @@ One outer iteration trains the sparse model for a fixed span, proposes one
 candidate topology per prune/grow strategy pair, refreshes the simulated
 attacker against the parent model, fine-tunes an attacker copy per candidate,
 scores every candidate on task accuracy and attack resistance, and adopts the
-candidate with the best trade-off. The loop runs until the epoch budget is
-spent (optionally stopping early on stagnation).
+candidate with the best trade-off. The loop runs ceil(epoch budget / epochs
+per iteration) outer iterations (optionally stopping early on stagnation).
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from .attack import (
     train_attacker,
 )
 from .data import LabeledSet
-from .metrics import (
-    VARIANTS,
-    EntropyConfig,
-    ScorePair,
-    task_accuracy,
-    tm_score,
-    training_loss,
-)
+from .metrics import VARIANTS, task_accuracy, tm_score, training_loss
 from .models import TargetSpec, build_attacker, build_target
 from .numcore import Tape
 from .numcore.optim import LrSchedule, lr_at, sgd_step
@@ -97,6 +90,19 @@ class RunConfig:
             raise ValueError("an outer iteration must consume some budget")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got "
+                             f"{self.learning_rate}")
+        if not 0.0 < self.lr_decay < 1.0:
+            raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
+        for name in ("prune_rate_start", "prune_rate_end"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        if self.probe_size < 1:
+            raise ValueError(f"probe_size must be >= 1, got {self.probe_size}")
         if self.attacker_mode not in MODES:
             raise ValueError(f"attacker mode must be one of {MODES}")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -168,19 +174,15 @@ def _steps_per_epoch(n: int, batch_size: int) -> int:
 
 
 def train_phase(model, train_data: LabeledSet, iterations: int,
-                config: RunConfig, rng: np.random.Generator | None = None,
-                *, schedule: LrSchedule | None = None, epoch_base: float = 0.0,
-                loss_trace: list | None = None):
-    """Run `iterations` optimizer steps of the configured loss over shuffled
-    full batches; the model's masks gate every update."""
-    if iterations == 0:
-        return model
-    if rng is None:
-        rng = np.random.default_rng(0)
+                config: RunConfig, rng: np.random.Generator, *,
+                epoch_base: float = 0.0, loss_trace: list | None = None):
+    """Run `iterations` optimizer steps of the configured loss and rate
+    schedule, `epoch_base` epochs into the run, over shuffled full batches;
+    the model's masks gate every update."""
     n = len(train_data)
     bs = min(config.batch_size, n)
     steps_per_epoch = _steps_per_epoch(n, bs)
-    entropy_cfg = EntropyConfig(beta=config.beta, variant=config.variant)
+    schedule = _build_schedule(config)
     params = model.params()
     done = 0
     while done < iterations:
@@ -189,13 +191,11 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
             if done >= iterations:
                 break
             rows = perm[b * bs:(b + 1) * bs]
-            if schedule is None:
-                lr = config.learning_rate
-            else:
-                lr = lr_at(schedule, int(epoch_base + done / steps_per_epoch))
+            lr = lr_at(schedule, int(epoch_base + done / steps_per_epoch))
             with Tape() as tape:
                 probs = model(train_data.x[rows])
-                loss = training_loss(probs, train_data.y[rows], entropy_cfg)
+                loss = training_loss(probs, train_data.y[rows],
+                                     config.variant, config.beta)
             tape.backward(loss)
             sgd_step(params, lr)
             if loss_trace is not None:
@@ -206,9 +206,7 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
 
 def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
                         *, gradients: dict, prune_rate: float, tau: float,
-                        train_data: LabeledSet,
-                        schedule: LrSchedule | None = None,
-                        epoch_base: float = 0.0):
+                        train_data: LabeledSet, epoch_base: float = 0.0):
     """One fine-tuned deep-copied candidate per strategy pair.
 
     Degenerate updates (a threshold that would wipe a layer) are discarded
@@ -231,7 +229,7 @@ def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
     tune_rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in updated]
     for (_, cand), stream in zip(updated, tune_rngs):
         train_phase(cand, train_data, steps, config, stream,
-                    schedule=schedule, epoch_base=epoch_base)
+                    epoch_base=epoch_base)
     return updated, notes
 
 
@@ -246,10 +244,10 @@ def select_best(scores: list) -> StrategyPair:
     return ranked.pair
 
 
-def _probe_gradients(model, probe_x, probe_y, entropy_cfg) -> dict:
+def _probe_gradients(model, probe_x, probe_y, config: RunConfig) -> dict:
     with Tape() as tape:
         probs = model(probe_x)
-        loss = training_loss(probs, probe_y, entropy_cfg)
+        loss = training_loss(probs, probe_y, config.variant, config.beta)
     tape.backward(loss)
     return {k: layer.w.grad.copy()
             for k, layer in enumerate(model.masked_layers())}
@@ -318,8 +316,6 @@ def run_compression(config: RunConfig,
     span_epochs = config.inner_iterations / steps_per_epoch
     per_iteration_epochs = span_epochs + config.candidate_finetune_epochs
     planned = max(1, math.ceil(config.total_epochs / per_iteration_epochs))
-    schedule = _build_schedule(config)
-    entropy_cfg = EntropyConfig(beta=config.beta, variant=config.variant)
     probe = min(config.probe_size, n)
     probe_x, probe_y = train_set.x[:probe], train_set.y[:probe]
 
@@ -329,14 +325,12 @@ def run_compression(config: RunConfig,
     reports: list[IterationReport] = []
     best_tm = -math.inf
     stall = 0
-    iteration = 0
-    while cumulative < config.total_epochs:
-        iteration += 1
+    for iteration in range(1, planned + 1):
         started = time.perf_counter()
 
         train_phase(model, train_set, config.inner_iterations, config,
-                    seq.next(), schedule=schedule, epoch_base=cumulative)
-        gradients = _probe_gradients(model, probe_x, probe_y, entropy_cfg)
+                    seq.next(), epoch_base=cumulative)
+        gradients = _probe_gradients(model, probe_x, probe_y, config)
         rate = prune_rate_at(iteration - 1, planned,
                              config.prune_rate_start,
                              config.prune_rate_end)
@@ -355,7 +349,7 @@ def run_compression(config: RunConfig,
         candidates, notes = generate_candidates(
             model, config, seq.next(), gradients=gradients,
             prune_rate=rate, tau=tau, train_data=train_set,
-            schedule=schedule, epoch_base=cumulative + span_epochs)
+            epoch_base=cumulative + span_epochs)
         job_rngs = [seq.next() for _ in candidates]
 
         scores, tuned_attackers = [], []
@@ -367,8 +361,7 @@ def run_compression(config: RunConfig,
             task = task_accuracy(cand, val_set)
             mia = mia_accuracy(tuned, cand, splits)
             gain = mia_gain(tuned, cand, splits)
-            tm = tm_score(ScorePair(task_acc=task, mia_acc=max(mia, 1e-6),
-                                    lam=config.lam))
+            tm = tm_score(task, max(mia, 1e-6), config.lam)
             scores.append(CandidateScore(pair, task, mia, tm, gain))
             tuned_attackers.append(tuned)
 

@@ -9,6 +9,7 @@ five-seed end-to-end bundle) are built once per module and shared between
 checks.
 """
 
+import dataclasses
 import io
 import time
 
@@ -24,7 +25,7 @@ from sparseguard.attack import (
 )
 from sparseguard.data import load_dataset
 from sparseguard.gradcheck import TOLERANCE, run_cases, worst_case
-from sparseguard.metrics import ScorePair, task_accuracy, tm_score
+from sparseguard.metrics import task_accuracy, tm_score
 from sparseguard.models import (
     Attacker,
     AttackerSpec,
@@ -85,7 +86,7 @@ ORACLE_ROWS = (
 def test_01_score_oracle(verdict):
     worst = 0.0
     for task, mia, printed in ORACLE_ROWS:
-        got = round(tm_score(ScorePair(task / 100.0, mia / 100.0)), 2)
+        got = round(tm_score(task / 100.0, mia / 100.0, 1.0), 2)
         worst = max(worst, abs(got - printed))
     ok = worst <= 0.01 + 1e-9
     assert verdict(1, "score oracle", ok,
@@ -197,7 +198,8 @@ def overfit_bundle():
         atk = Attacker(
             AttackerSpec(mode="blackbox", classes=4),
             np.random.default_rng(seed))
-        train_attacker(atk, at, epochs=100, rng=np.random.default_rng(seed))
+        train_attacker(atk, at, epochs=100, rng=np.random.default_rng(seed),
+                       learning_rate=0.001)
         bb.append(mia_accuracy(atk, target, splits))
 
         at_w, _ = extract_examples(target, splits, "whitebox")
@@ -206,7 +208,7 @@ def overfit_bundle():
                          grad_len=last_layer_gradient_length(target)),
             np.random.default_rng(seed))
         train_attacker(atk_w, at_w, epochs=100,
-                       rng=np.random.default_rng(seed))
+                       rng=np.random.default_rng(seed), learning_rate=0.001)
         wb.append(mia_accuracy(atk_w, target, splits))
 
         control = build_target(spec, 1.0, np.random.default_rng(1000 + seed))
@@ -215,7 +217,7 @@ def overfit_bundle():
             AttackerSpec(mode="blackbox", classes=4),
             np.random.default_rng(seed))
         train_attacker(atk_f, at_f, epochs=100,
-                       rng=np.random.default_rng(seed))
+                       rng=np.random.default_rng(seed), learning_rate=0.001)
         fresh.append(mia_accuracy(atk_f, control, splits))
     return {"bb": bb, "wb": wb, "fresh": fresh, "elapsed": time.time() - t0}
 
@@ -240,7 +242,8 @@ def test_06_balanced_batches(verdict):
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
                         np.random.default_rng(5))
     train_attacker(attacker, examples, epochs=100, rng=rng,
-                   batch_hook=lambda f, t: counts.append((len(t), int(t.sum()))))
+                   batch_hook=lambda f, t: counts.append((len(t), int(t.sum()))),
+                   learning_rate=0.001)
     ok = len(counts) == 400 and all(c == (128, 64) for c in counts)
     assert verdict(6, "balanced attacker batches", ok,
                     f"{len(counts)} batches, every one exactly 64+64")
@@ -262,7 +265,8 @@ def _e2e_config(variant, seed):
 def _prune_once_reference(config, datasets, seed):
     """Two-step pipeline at the same optimizer-step budget: dense training
     for half the steps, one global magnitude prune down to the run's active
-    count, then masked fine-tuning for the remaining half."""
+    count, then masked fine-tuning for the remaining half, all at the
+    constant base learning rate."""
     train_set, _ = datasets
     steps_per_epoch = len(train_set) // config.batch_size
     finetune_steps = round(config.candidate_finetune_epochs * steps_per_epoch)
@@ -276,7 +280,8 @@ def _prune_once_reference(config, datasets, seed):
     model = build_target(E2E_SPEC, 1.0, rng)
     k = active_count(build_target(E2E_SPEC, config.omega,
                                   np.random.default_rng(seed)))
-    train_phase(model, train_set, half, config, rng)
+    constant = dataclasses.replace(config, lr_milestones=())
+    train_phase(model, train_set, half, constant, rng)
     layers = model.masked_layers()
     flat = np.concatenate([np.abs(l.w.data).ravel() for l in layers])
     keep = np.zeros(flat.size, dtype=bool)
@@ -288,8 +293,7 @@ def _prune_once_reference(config, datasets, seed):
         layer.w.data *= layer.mask
         pos += size
     assert active_count(model) == k
-    train_phase(model, train_set, total_steps - half, config, rng,
-                epoch_base=half / steps_per_epoch)
+    train_phase(model, train_set, total_steps - half, constant, rng)
     return model
 
 
@@ -304,10 +308,10 @@ def _independent_eval(model, datasets, seed):
         AttackerSpec(mode="blackbox", classes=4),
         np.random.default_rng(8000 + seed))
     train_attacker(attacker, at, epochs=100,
-                   rng=np.random.default_rng(8000 + seed))
+                   rng=np.random.default_rng(8000 + seed), learning_rate=0.001)
     mia = mia_accuracy(attacker, model, splits)
     task = task_accuracy(model, test_set)
-    return task, mia, tm_score(ScorePair(task, max(mia, 1e-6)))
+    return task, mia, tm_score(task, max(mia, 1e-6), 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -204,7 +204,8 @@ def test_train_attacker_rejects_single_class():
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
                         np.random.default_rng(0))
     with pytest.raises(ValueError):
-        train_attacker(attacker, ex, epochs=1, rng=np.random.default_rng(0))
+        train_attacker(attacker, ex, epochs=1, rng=np.random.default_rng(0),
+                       learning_rate=0.001)
 
 
 def test_balanced_batches_exact_composition():
@@ -220,7 +221,7 @@ def test_balanced_batches_exact_composition():
         seen.append((feats.shape[0], int(targets.sum())))
 
     train_attacker(attacker, ex, epochs=3, rng=np.random.default_rng(0),
-                   batch_hook=hook)
+                   batch_hook=hook, learning_rate=0.001)
     # longer class has 150 rows -> floor(150/64) = 2 batches per epoch
     assert len(seen) == 6
     assert all(total == 128 and members == 64 for total, members in seen)
@@ -232,7 +233,8 @@ def test_tiny_classes_still_yield_full_batches():
                         np.random.default_rng(0))
     seen = []
     train_attacker(attacker, ex, epochs=2, rng=np.random.default_rng(0),
-                   batch_hook=lambda f, t: seen.append((len(t), int(t.sum()))))
+                   batch_hook=lambda f, t: seen.append((len(t), int(t.sum()))),
+                   learning_rate=0.001)
     assert seen == [(128, 64), (128, 64)]
 
 
@@ -240,7 +242,8 @@ def test_attacker_learns_separable_features():
     ex = separable_examples(n_per_class=200, seed=4)
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
                         np.random.default_rng(4))
-    train_attacker(attacker, ex, epochs=15, rng=np.random.default_rng(4))
+    train_attacker(attacker, ex, epochs=15, rng=np.random.default_rng(4),
+                   learning_rate=0.001)
     out = attacker(ex.features).data
     assert balanced_accuracy(out, ex.membership) > 0.95
 
@@ -251,7 +254,8 @@ def test_train_attacker_deterministic():
     for _ in range(2):
         attacker = Attacker(
             AttackerSpec(mode="blackbox", classes=2), np.random.default_rng(5))
-        train_attacker(attacker, ex, epochs=3, rng=np.random.default_rng(5))
+        train_attacker(attacker, ex, epochs=3, rng=np.random.default_rng(5),
+                       learning_rate=0.001)
         outs.append(attacker(ex.features[:10]).data.tobytes())
     assert outs[0] == outs[1]
 
@@ -267,14 +271,15 @@ def trained_setup(seed=0):
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
                         np.random.default_rng(seed))
     at, _ = extract_examples(target, splits, "blackbox")
-    train_attacker(attacker, at, epochs=10, rng=np.random.default_rng(seed))
+    train_attacker(attacker, at, epochs=10, rng=np.random.default_rng(seed),
+                   learning_rate=0.001)
     return target, splits, attacker
 
 
 def test_finetune_zero_epochs_is_identity():
     target, splits, attacker = trained_setup()
     tuned = finetune_attacker(attacker, target, splits, epochs=0,
-                              learning_rate=0.001)
+                              rng=np.random.default_rng(0), learning_rate=0.001)
     assert tuned is not attacker
     for a, b in zip(attacker.params(), tuned.params()):
         assert a.data.tobytes() == b.data.tobytes()
@@ -388,7 +393,8 @@ def test_overfit_lookup_target_is_attackable():
     at, _ = extract_examples(target, splits, "blackbox")
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
                         np.random.default_rng(7))
-    train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(7))
+    train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(7),
+                   learning_rate=0.001)
     assert mia_accuracy(attacker, target, splits) > 0.60
 
 
@@ -400,7 +406,8 @@ def test_uniform_target_is_not_attackable():
     at, _ = extract_examples(target, splits, "blackbox")
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=4),
                         np.random.default_rng(8))
-    train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(8))
+    train_attacker(attacker, at, epochs=30, rng=np.random.default_rng(8),
+                   learning_rate=0.001)
     assert abs(mia_accuracy(attacker, target, splits) - 0.5) <= 0.03
 
 
@@ -438,7 +445,8 @@ def test_overfitting_signal_is_monotone():
                 AttackerSpec(mode="blackbox", classes=4),
                 np.random.default_rng(seed))
             train_attacker(attacker, at, epochs=40,
-                           rng=np.random.default_rng(seed))
+                           rng=np.random.default_rng(seed),
+                           learning_rate=0.001)
             accs[budget].append(mia_accuracy(attacker, target, splits))
     medians = [float(np.median(accs[b])) for b in budgets]
     assert medians[0] <= medians[1] <= medians[2]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sparseguard.cli import main
+from sparseguard.cli import build_parser, main
+from sparseguard.orchestrator import RunConfig
 from sparseguard.report import read_report
 
 TOY_CONFIG = {
@@ -103,10 +104,17 @@ def test_run_missing_config_file(tmp_path):
      "target field input_shape[0] must be an integer"),
     ({"dataset": dict(TOY_CONFIG["dataset"], n_train=128.7)},
      "dataset key n_train must be an integer"),
+    ({"beta": -0.1}, "beta must be >= 0, got -0.1"),
+    ({"learning_rate": 0}, "learning_rate must be > 0, got 0"),
+    ({"lr_decay": 1.5}, "lr_decay must be in (0, 1), got 1.5"),
+    ({"prune_rate_start": 1.5}, "prune_rate_start must be in (0, 1), got 1.5"),
+    ({"probe_size": 0}, "probe_size must be >= 1, got 0"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
-        "string input width", "float dataset count"])
+        "string input width", "float dataset count", "negative beta",
+        "zero learning rate", "lr decay above 1", "prune rate above 1",
+        "empty probe"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -139,6 +147,11 @@ def test_attack_eval_on_checkpoint(toy_run, capsys):
     assert "MIA accuracy:" in out
     assert "MIA gain:" in out
     assert "non-member accuracy:" in out
+
+
+def test_attack_eval_defaults_to_the_run_attacker_epochs():
+    args = build_parser().parse_args(["attack-eval", "--checkpoint", "c.bin"])
+    assert args.attacker_epochs == RunConfig.attacker_epochs_first
 
 
 def test_attack_eval_mode_mismatch(toy_run, capsys):

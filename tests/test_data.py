@@ -25,13 +25,23 @@ def test_blobs_shapes_and_labels():
     assert counts.max() - counts.min() <= 1
 
 
-def test_standardization_train_stats():
+def test_standardization_train_stats(tmp_path):
     train, test = load_dataset({"kind": "blobs", "classes": 4, "n_train": 400,
                                 "n_test": 100, "dim": 3, "seed": 2})
     np.testing.assert_allclose(train.x.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(train.x.std(axis=0), 1.0, atol=1e-9)
-    # test split standardized with TRAIN statistics: not exactly unit
-    assert abs(test.x.mean()) > 0 or True
+    # the test split is standardized with the training split's statistics
+    raw_train = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0], [7.0, 40.0]])
+    raw_test = np.array([[2.0, 50.0], [9.0, 60.0], [4.0, 70.0]])
+    for name, raw in (("train.csv", raw_train), ("test.csv", raw_test)):
+        (tmp_path / name).write_text("".join(
+            f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(raw)))
+    _, test = load_dataset({"kind": "csv", "path": str(tmp_path / "train.csv"),
+                            "test_path": str(tmp_path / "test.csv")})
+    expected = (raw_test - raw_train.mean(axis=0)) / raw_train.std(axis=0)
+    np.testing.assert_allclose(test.x, expected, rtol=0, atol=1e-12)
+    own = (raw_test - raw_test.mean(axis=0)) / raw_test.std(axis=0)
+    assert not np.allclose(test.x, own, rtol=0, atol=1e-6)
 
 
 def test_spirals_generation():

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from sparseguard.metrics import (
-    EntropyConfig,
-    ScorePair,
     entropy,
     loss_re1,
     loss_re2,
@@ -46,42 +44,37 @@ def test_loss_re1_beta_zero_is_cross_entropy():
     rng = np.random.default_rng(1)
     p = Tensor(rng.dirichlet(np.ones(5), size=6))
     labels = rng.integers(0, 5, size=6)
-    cfg = EntropyConfig(beta=0.0, variant="re1")
-    assert float(loss_re1(p, labels, cfg).data) == pytest.approx(
+    assert float(loss_re1(p, labels, 0.0).data) == pytest.approx(
         float(ops.cross_entropy(p, labels).data), abs=1e-15)
 
 
 def test_loss_re1_uniform_batch_value():
     p = Tensor(np.full((3, 4), 0.25))
     labels = np.array([0, 1, 2])
-    cfg = EntropyConfig(beta=0.1, variant="re1")
-    assert float(loss_re1(p, labels, cfg).data) == pytest.approx(0.9 * LN4, abs=1e-12)
+    assert float(loss_re1(p, labels, 0.1).data) == pytest.approx(0.9 * LN4, abs=1e-12)
 
 
 def test_loss_re1_never_exceeds_cross_entropy():
     rng = np.random.default_rng(2)
-    cfg = EntropyConfig(beta=0.1, variant="re1")
     for _ in range(50):
         p = Tensor(rng.dirichlet(np.ones(4), size=8))
         labels = rng.integers(0, 4, size=8)
-        assert float(loss_re1(p, labels, cfg).data) <= float(
+        assert float(loss_re1(p, labels, 0.1).data) <= float(
             ops.cross_entropy(p, labels).data) + 1e-12
 
 
 def test_loss_re2_all_correct_equals_cross_entropy():
     p = Tensor(np.array([[0.9, 0.1], [0.2, 0.8]]))
     labels = np.array([0, 1])
-    cfg = EntropyConfig(beta=0.1, variant="re2")
-    assert float(loss_re2(p, labels, cfg).data) == pytest.approx(
+    assert float(loss_re2(p, labels, 0.1).data) == pytest.approx(
         float(ops.cross_entropy(p, labels).data), abs=1e-15)
 
 
 def test_loss_re2_single_misclassified_uniform_row():
     p = Tensor(np.array([[0.7, 0.1, 0.1, 0.1], [0.25, 0.25, 0.25, 0.25]]))
     labels = np.array([0, 1])  # row 1 argmax ties to class 0: misclassified
-    cfg = EntropyConfig(beta=0.1, variant="re2")
     ce = float(ops.cross_entropy(p, labels).data)
-    assert float(loss_re2(p, labels, cfg).data) == pytest.approx(
+    assert float(loss_re2(p, labels, 0.1).data) == pytest.approx(
         ce - 0.1 * LN4, abs=1e-12)
 
 
@@ -89,9 +82,9 @@ def test_training_loss_dispatch():
     p = Tensor(np.array([[0.6, 0.4]]))
     labels = np.array([0])
     ce = float(ops.cross_entropy(p, labels).data)
-    assert float(training_loss(p, labels, EntropyConfig(variant="none")).data) \
+    assert float(training_loss(p, labels, "none", 0.1).data) \
         == pytest.approx(ce)
-    assert float(training_loss(p, labels, EntropyConfig(variant="re1")).data) < ce
+    assert float(training_loss(p, labels, "re1", 0.1).data) < ce
 
 
 def fd_loss_err(variant, seed):
@@ -99,10 +92,9 @@ def fd_loss_err(variant, seed):
     net = Sequential([Linear(6, 10, rng, 0.8), ReLU(), Linear(10, 4, rng, 0.8), Softmax()])
     x = Tensor(rng.normal(size=(7, 6)))
     labels = rng.integers(0, 4, size=7)
-    cfg = EntropyConfig(beta=0.1, variant=variant)
 
     def loss_fn():
-        return training_loss(net(x), labels, cfg)
+        return training_loss(net(x), labels, variant, 0.1)
 
     with Tape() as tape:
         loss = loss_fn()
@@ -132,11 +124,10 @@ def test_fd_loss_re2():
     assert fd_loss_err("re2", 32) < 1e-4
 
 
-def test_entropy_config_validation():
-    with pytest.raises(ValueError):
-        EntropyConfig(beta=-0.1)
-    with pytest.raises(ValueError):
-        EntropyConfig(variant="re3")
+def test_training_loss_rejects_unknown_variant():
+    p = Tensor(np.array([[0.6, 0.4]]))
+    with pytest.raises(ValueError, match="variant must be one of"):
+        training_loss(p, np.array([0]), "re3", 0.1)
 
 
 # ------------------------------------------------------------ task accuracy
@@ -182,26 +173,26 @@ def test_task_accuracy_oracle_and_worst_case():
 
 
 def test_tm_score_paper_examples():
-    assert tm_score(ScorePair(0.6991, 0.5154)) == pytest.approx(1.3564, abs=5e-5)
-    assert abs(round(tm_score(ScorePair(0.6991, 0.5154)), 2) - 1.35) <= 0.01 + 1e-9
-    assert tm_score(ScorePair(0.8741, 0.5834)) == pytest.approx(1.4983, abs=5e-5)
-    assert round(tm_score(ScorePair(0.8741, 0.5834)), 2) == pytest.approx(1.50)
-    assert tm_score(ScorePair(0.5, 0.5)) == pytest.approx(1.0)
+    assert tm_score(0.6991, 0.5154, 1.0) == pytest.approx(1.3564, abs=5e-5)
+    assert abs(round(tm_score(0.6991, 0.5154, 1.0), 2) - 1.35) <= 0.01 + 1e-9
+    assert tm_score(0.8741, 0.5834, 1.0) == pytest.approx(1.4983, abs=5e-5)
+    assert round(tm_score(0.8741, 0.5834, 1.0), 2) == pytest.approx(1.50)
+    assert tm_score(0.5, 0.5, 1.0) == pytest.approx(1.0)
 
 
 def test_tm_score_monotonicity():
     rng = np.random.default_rng(3)
     for _ in range(200):
         task, mia = rng.uniform(0.1, 1.0, size=2)
-        base = tm_score(ScorePair(task, mia))
-        assert tm_score(ScorePair(min(task + 0.05, 1.0), mia)) >= base
-        assert tm_score(ScorePair(task, mia + 0.05)) < base
+        base = tm_score(task, mia, 1.0)
+        assert tm_score(min(task + 0.05, 1.0), mia, 1.0) >= base
+        assert tm_score(task, mia + 0.05, 1.0) < base
 
 
 def test_tm_score_rejects_zero_mia():
     with pytest.raises(ValueError):
-        tm_score(ScorePair(0.9, 0.0))
+        tm_score(0.9, 0.0, 1.0)
 
 
 def test_tm_score_lambda_exponent():
-    assert tm_score(ScorePair(0.81, 0.5, lam=0.5)) == pytest.approx(0.9 / 0.5)
+    assert tm_score(0.81, 0.5, 0.5) == pytest.approx(0.9 / 0.5)

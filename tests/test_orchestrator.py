@@ -62,6 +62,17 @@ def test_config_validation():
         toy_config(variant="re3")
     with pytest.raises(ValueError):
         toy_config(attacker_mode="graybox")
+    out_of_range = [
+        ({"beta": -0.1}, "beta must be >= 0"),
+        ({"learning_rate": 0}, "learning_rate must be > 0"),
+        ({"lr_decay": 1.5}, "lr_decay must be in"),
+        ({"prune_rate_start": 1.5}, "prune_rate_start must be in"),
+        ({"prune_rate_end": 0.0}, "prune_rate_end must be in"),
+        ({"probe_size": 0}, "probe_size must be >= 1"),
+    ]
+    for change, message in out_of_range:
+        with pytest.raises(ValueError, match=message):
+            toy_config(**change)
     assert toy_config(omega=1.0).omega == 1.0
 
 
@@ -120,7 +131,7 @@ def test_train_phase_zero_iterations_identity():
 
 def test_train_phase_masks_enforced_and_loss_decreases():
     train, _ = toy_data(seed=1)
-    config = toy_config()
+    config = toy_config(lr_milestones=())
     model = build_target(config.target, 0.3, np.random.default_rng(1))
     trace = []
     train_phase(model, train, 120, config, np.random.default_rng(1),
@@ -254,6 +265,16 @@ def test_run_compression_single_span_budget():
     # span = 16 iters / (128//32 batches) = 4 epochs >= total budget
     _, reports = run_compression(config, datasets)
     assert len(reports) == 1
+
+
+def test_run_compression_runs_exactly_the_planned_iterations():
+    # ten iterations of 0.1 epochs spend the 1.0 budget; summing 0.1 ten
+    # times in floating point falls just short of 1.0
+    config = toy_config(inner_iterations=0, candidate_finetune_epochs=0.1,
+                        total_epochs=1.0)
+    datasets = toy_data(seed=9, n_train=160, n_test=80)
+    _, reports = run_compression(config, datasets)
+    assert len(reports) == 10
 
 
 def test_run_compression_deterministic_repeat():
