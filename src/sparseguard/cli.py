@@ -67,7 +67,7 @@ def cmd_run(args) -> int:
                                              iteration_callback=checkpointer)
         except Exception as exc:  # partial report trail is already on disk
             return _fail(f"run aborted: {exc}", 1)
-        summary = summary_record(reports)
+        summary = summary_record([r.as_record() for r in reports])
         write_record(fh, summary)
     save_checkpoint(out_dir / "checkpoint_final.bin", model,
                     iteration=reports[-1].iteration, seed=config.seed,

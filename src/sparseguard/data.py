@@ -6,6 +6,7 @@ feature-wise using statistics computed on the training split only.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -111,11 +112,14 @@ def _parse_delimited(path: str, delimiter: str) -> tuple[np.ndarray, np.ndarray]
         row = []
         for j, cell in enumerate(cells[:-1], start=1):
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"row {i}, column {j}: cannot parse {cell!r} as a number"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"row {i}, column {j}: {cell!r} is not finite")
+            row.append(value)
         try:
             label = int(cells[-1])
         except ValueError:

@@ -16,7 +16,7 @@ from . import metrics
 from .models import Attacker, AttackerSpec
 from .numcore import Tape, Tensor
 from .numcore import ops
-from .numcore.layers import Conv1d, Conv2d, Linear, MaxPool2
+from .numcore.layers import Conv1d, Conv2d, Linear
 
 TOLERANCE = 1e-4
 STEP = 1e-5
@@ -96,8 +96,7 @@ def _case_conv1d_strided(rng):
 def _case_maxpool(rng):
     x = rng.normal(size=(2, 2, 4, 4))
     conv = Conv2d(2, 2, 3, rng, weight_scale=0.5, padding="same")
-    pool = MaxPool2()
-    loss = lambda: ops.tsum(pool(conv(Tensor(x))))
+    loss = lambda: ops.tsum(ops.maxpool2(conv(Tensor(x))))
     return [conv.w, conv.b], loss
 
 

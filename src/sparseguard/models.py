@@ -18,17 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import Tensor, ops
-from .numcore.layers import (
-    Conv1d,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2,
-    ReLU,
-    Reshape,
-    Sequential,
-    Softmax,
-)
+from .numcore.layers import Conv1d, Conv2d, Linear, Reshape, Sequential
 from .numcore.optim import AdamState
 from .sparse import er_initialize
 
@@ -93,9 +83,9 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
         widths = (spec.input_width,) + spec.hidden + (spec.classes,)
         for n_in, n_out in zip(widths, widths[1:]):
             layers.append(Linear(n_in, n_out, rng, math.sqrt(2.0 / n_in), masked=True))
-            layers.append(ReLU())
+            layers.append(ops.relu)
         layers.pop()  # no ReLU before the softmax head
-        layers.append(Softmax())
+        layers.append(ops.softmax)
     else:
         c, h, w = spec.input_shape
         if h % 4 or w % 4:
@@ -106,13 +96,13 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
             fan_in = c_prev * spec.kernel * spec.kernel
             layers.append(Conv2d(c_prev, c_out, spec.kernel, rng,
                                  math.sqrt(2.0 / fan_in), padding="same", masked=True))
-            layers.append(ReLU())
-            layers.append(MaxPool2())
+            layers.append(ops.relu)
+            layers.append(ops.maxpool2)
             c_prev = c_out
         flat = c_prev * (h // 4) * (w // 4)
-        layers.append(Flatten())
+        layers.append(ops.flatten)
         layers.append(Linear(flat, spec.classes, rng, math.sqrt(2.0 / flat), masked=True))
-        layers.append(Softmax())
+        layers.append(ops.softmax)
 
     model = SparseModel(spec, layers)
     er_initialize(model, omega, rng)
@@ -157,15 +147,15 @@ class AttackerSpec:
 
 def _mlp_stream(n_in, spec, rng):
     return Sequential([
-        Linear(n_in, spec.stream_hidden, rng, ATTACKER_INIT_STD), ReLU(),
-        Linear(spec.stream_hidden, spec.embed, rng, ATTACKER_INIT_STD), ReLU(),
+        Linear(n_in, spec.stream_hidden, rng, ATTACKER_INIT_STD), ops.relu,
+        Linear(spec.stream_hidden, spec.embed, rng, ATTACKER_INIT_STD), ops.relu,
     ])
 
 
 def _fusion(n_in, spec, rng):
     return Sequential([
-        Linear(n_in, spec.fusion_hidden, rng, ATTACKER_INIT_STD), ReLU(),
-        Linear(spec.fusion_hidden, spec.embed, rng, ATTACKER_INIT_STD), ReLU(),
+        Linear(n_in, spec.fusion_hidden, rng, ATTACKER_INIT_STD), ops.relu,
+        Linear(spec.fusion_hidden, spec.embed, rng, ATTACKER_INIT_STD), ops.relu,
         Linear(spec.embed, 1, rng, ATTACKER_INIT_STD),
     ])
 
@@ -185,15 +175,15 @@ class Attacker:
         self.feature_length = 2 * c
         if spec.mode == "whitebox":
             self.loss_stream = Sequential([
-                Linear(1, spec.embed, rng, ATTACKER_INIT_STD), ReLU()])
+                Linear(1, spec.embed, rng, ATTACKER_INIT_STD), ops.relu])
             conv_out = (g - spec.conv_kernel) // spec.conv_stride + 1
             self.grad_stream = Sequential([
                 Conv1d(1, spec.conv_filters, spec.conv_kernel, rng, ATTACKER_INIT_STD,
                        stride=spec.conv_stride),
-                ReLU(),
-                Flatten(),
+                ops.relu,
+                ops.flatten,
                 Linear(spec.conv_filters * conv_out, spec.embed, rng, ATTACKER_INIT_STD),
-                ReLU(),
+                ops.relu,
             ])
             self.streams += [self.loss_stream, self.grad_stream]
             self.feature_length += 1 + g

@@ -1,8 +1,10 @@
 """Layer objects: thin parameter holders that call ops under the active tape.
 
-Masked layers gate their weight matrix with a 0/1 float mask stored on the
-weight Parameter itself, so optimizers and sparse bookkeeping see one source
-of truth. Biases are always dense.
+Stateless layers are the op functions themselves (`ops.relu`, `ops.softmax`,
+`ops.flatten`, `ops.maxpool2`): a `Sequential` calls every item on the
+running tensor. Masked layers gate their weight matrix with a 0/1 float mask
+stored on the weight Parameter itself, so optimizers and sparse bookkeeping
+see one source of truth. Biases are always dense.
 """
 
 from __future__ import annotations
@@ -13,87 +15,53 @@ from . import ops
 from .tensor import Parameter, Tensor, as_tensor
 
 
-class Linear:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
+class Weighted:
+    """A weight of `shape` drawn from normal(0, weight_scale), an optional
+    all-ones mask on it, and a zero bias with one entry per output channel
+    (`shape[0]`). The only layer kind that holds parameters."""
+
+    def __init__(self, shape: tuple, rng: np.random.Generator,
                  weight_scale: float, masked: bool = False):
-        w = rng.normal(0.0, weight_scale, (n_out, n_in)) if weight_scale > 0 \
-            else np.zeros((n_out, n_in))
-        mask = np.ones((n_out, n_in)) if masked else None
-        self.w = Parameter(w, mask=mask)
-        self.b = Parameter(np.zeros(n_out))
-        self.n_in = n_in
-        self.n_out = n_out
+        w = rng.normal(0.0, weight_scale, shape)
+        self.w = Parameter(w, mask=np.ones(shape) if masked else None)
+        self.b = Parameter(np.zeros(shape[0]))
 
     @property
     def mask(self):
         return self.w.mask
+
+    def params(self):
+        return [self.w, self.b]
+
+
+class Linear(Weighted):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
+                 weight_scale: float, masked: bool = False):
+        super().__init__((n_out, n_in), rng, weight_scale, masked)
+        self.n_in = n_in
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.w, self.b, self.w.mask)
 
-    def params(self):
-        return [self.w, self.b]
 
-
-class Conv2d:
+class Conv2d(Weighted):
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  weight_scale: float, padding: str = "same", masked: bool = False):
-        shape = (c_out, c_in, kernel, kernel)
-        w = rng.normal(0.0, weight_scale, shape) if weight_scale > 0 else np.zeros(shape)
-        mask = np.ones(shape) if masked else None
-        self.w = Parameter(w, mask=mask)
-        self.b = Parameter(np.zeros(c_out))
+        super().__init__((c_out, c_in, kernel, kernel), rng, weight_scale, masked)
         self.padding = padding
-
-    @property
-    def mask(self):
-        return self.w.mask
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.w, self.b, self.w.mask, padding=self.padding)
 
-    def params(self):
-        return [self.w, self.b]
 
-
-class Conv1d:
+class Conv1d(Weighted):
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
                  weight_scale: float, stride: int = 1):
-        shape = (c_out, c_in, kernel)
-        w = rng.normal(0.0, weight_scale, shape) if weight_scale > 0 else np.zeros(shape)
-        self.w = Parameter(w)
-        self.b = Parameter(np.zeros(c_out))
+        super().__init__((c_out, c_in, kernel), rng, weight_scale)
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv1d(x, self.w, self.b, stride=self.stride)
-
-    def params(self):
-        return [self.w, self.b]
-
-
-class ReLU:
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.relu(x)
-
-    def params(self):
-        return []
-
-
-class Softmax:
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.softmax(x)
-
-    def params(self):
-        return []
-
-
-class Flatten:
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.flatten(x)
-
-    def params(self):
-        return []
 
 
 class Reshape:
@@ -104,17 +72,6 @@ class Reshape:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.reshape(x, (x.data.shape[0],) + self.sample_shape)
-
-    def params(self):
-        return []
-
-
-class MaxPool2:
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.maxpool2(x)
-
-    def params(self):
-        return []
 
 
 class Sequential:
@@ -128,7 +85,5 @@ class Sequential:
         return x
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers if isinstance(layer, Weighted)
+                for p in layer.params()]

@@ -1,4 +1,4 @@
-"""Optimizers and the multi-step learning-rate schedule.
+"""Optimizers: plain SGD and Adam.
 
 Both steppers honor parameter masks: the update is gated so mask-inactive
 weights stay exactly 0 no matter how many steps run. Gradients are zeroed
@@ -6,8 +6,6 @@ after each step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,23 +53,3 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
         check_finite(update, "adam update")
         p.data -= update
         p.grad[...] = 0.0
-
-
-@dataclass
-class LrSchedule:
-    """Multi-step decay: rate(e) = base_rate * decay_factor^(#milestones <= e)."""
-
-    base_rate: float
-    milestones: tuple
-    decay_factor: float
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ValueError("milestones must be strictly increasing")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ValueError("epoch must be non-negative")
-    passed = sum(1 for m in schedule.milestones if m <= epoch)
-    return schedule.base_rate * schedule.decay_factor ** passed

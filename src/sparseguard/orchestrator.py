@@ -29,7 +29,7 @@ from .data import LabeledSet
 from .metrics import VARIANTS, task_accuracy, tm_score, training_loss
 from .models import TargetSpec, build_attacker, build_target
 from .numcore import Tape
-from .numcore.optim import LrSchedule, lr_at, sgd_step
+from .numcore.optim import sgd_step
 from .sparse import (
     ALL_PAIRS,
     DegenerateUpdateError,
@@ -97,6 +97,21 @@ class RunConfig:
                              f"{self.learning_rate}")
         if not 0.0 < self.lr_decay < 1.0:
             raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
+        fractions = self.lr_milestones
+        if (any(not 0.0 < f < 1.0 for f in fractions)
+                or any(b <= a for a, b in zip(fractions, fractions[1:]))):
+            raise ValueError(f"lr_milestones must be strictly increasing "
+                             f"fractions in (0, 1), got {list(fractions)}")
+        if self.attacker_learning_rate <= 0:
+            raise ValueError(f"attacker_learning_rate must be > 0, got "
+                             f"{self.attacker_learning_rate}")
+        for name in ("attacker_epochs_first", "attacker_epochs_topup",
+                     "attacker_finetune_epochs", "lam"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.tau is not None and self.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         for name in ("prune_rate_start", "prune_rate_end"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -173,6 +188,16 @@ def _steps_per_epoch(n: int, batch_size: int) -> int:
     return max(1, n // min(batch_size, n))
 
 
+def learning_rate_at(config: RunConfig, epoch: int) -> float:
+    """Step decay: `learning_rate` times `lr_decay` once per distinct
+    milestone epoch `floor(fraction * total_epochs)` in [1, epoch]. Small
+    budgets can floor two fractions to one epoch (one decay) or a fraction
+    to epoch 0 (no decay)."""
+    passed = {m for f in config.lr_milestones
+              if 1 <= (m := math.floor(f * config.total_epochs)) <= epoch}
+    return config.learning_rate * config.lr_decay ** len(passed)
+
+
 def train_phase(model, train_data: LabeledSet, iterations: int,
                 config: RunConfig, rng: np.random.Generator, *,
                 epoch_base: float = 0.0, loss_trace: list | None = None):
@@ -182,7 +207,6 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
     n = len(train_data)
     bs = min(config.batch_size, n)
     steps_per_epoch = _steps_per_epoch(n, bs)
-    schedule = _build_schedule(config)
     params = model.params()
     done = 0
     while done < iterations:
@@ -191,7 +215,8 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
             if done >= iterations:
                 break
             rows = perm[b * bs:(b + 1) * bs]
-            lr = lr_at(schedule, int(epoch_base + done / steps_per_epoch))
+            lr = learning_rate_at(config,
+                                  int(epoch_base + done / steps_per_epoch))
             with Tape() as tape:
                 probs = model(train_data.x[rows])
                 loss = training_loss(probs, train_data.y[rows],
@@ -265,17 +290,6 @@ def _validation_slice(known_test: LabeledSet, fraction: float,
     k = max(1, int(round(fraction * len(known_test))))
     rows = rng.permutation(len(known_test))[:k]
     return LabeledSet(known_test.x[rows], known_test.y[rows])
-
-
-def _build_schedule(config: RunConfig) -> LrSchedule:
-    milestones = []
-    for f in config.lr_milestones:
-        m = int(math.floor(f * config.total_epochs))
-        if m >= 1 and (not milestones or m > milestones[-1]):
-            milestones.append(m)
-    return LrSchedule(base_rate=config.learning_rate,
-                      milestones=tuple(milestones),
-                      decay_factor=config.lr_decay)
 
 
 def check_dataset_fits(target: TargetSpec,

@@ -40,11 +40,11 @@ def _selected_scores(record: dict) -> dict:
                      "missing from candidates")
 
 
-def summary_record(reports) -> dict:
-    """Final line: the adopted candidate's trajectory and end-state scores."""
-    if not reports:
+def summary_record(records: list[dict]) -> dict:
+    """Final line: the adopted candidate's trajectory and end-state scores,
+    from the iteration records."""
+    if not records:
         raise ValueError("cannot summarize an empty report trail")
-    records = [r.as_record() if hasattr(r, "as_record") else r for r in reports]
     chosen = [_selected_scores(r) for r in records]
     final = chosen[-1]
     return {

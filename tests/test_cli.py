@@ -109,12 +109,28 @@ def test_run_missing_config_file(tmp_path):
     ({"lr_decay": 1.5}, "lr_decay must be in (0, 1), got 1.5"),
     ({"prune_rate_start": 1.5}, "prune_rate_start must be in (0, 1), got 1.5"),
     ({"probe_size": 0}, "probe_size must be >= 1, got 0"),
+    ({"lr_milestones": [0.75, 0.5]},
+     "lr_milestones must be strictly increasing fractions in (0, 1), "
+     "got [0.75, 0.5]"),
+    ({"lr_milestones": [2.0]}, "got [2.0]"),
+    ({"attacker_learning_rate": -0.001},
+     "attacker_learning_rate must be > 0, got -0.001"),
+    ({"attacker_epochs_first": -3}, "attacker_epochs_first must be >= 0"),
+    ({"attacker_epochs_topup": -1}, "attacker_epochs_topup must be >= 0"),
+    ({"attacker_finetune_epochs": -1},
+     "attacker_finetune_epochs must be >= 0"),
+    ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
+    ({"tau": -0.1, "pairs": ["threshold:gradient", "threshold:random"]},
+     "tau must be >= 0, got -0.1"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
         "string input width", "float dataset count", "negative beta",
         "zero learning rate", "lr decay above 1", "prune rate above 1",
-        "empty probe"])
+        "empty probe", "decreasing milestones", "milestone above 1",
+        "negative attacker learning rate", "negative first attacker epochs",
+        "negative top-up attacker epochs",
+        "negative fine-tune attacker epochs", "negative lam", "negative tau"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -124,6 +140,37 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (out_dir / "report.jsonl").exists()
+
+
+def _csv_with_nan(tmp_path):
+    path = tmp_path / "nan.csv"
+    rows = [f"{i * 0.1},{i % 4 * 0.5},{i % 3 - 1},{i * 0.2},{i % 3}"
+            for i in range(40)]
+    rows[7] = "0.7,nan,0.0,1.4,1"
+    path.write_text("\n".join(rows) + "\n")
+    return {"kind": "csv", "path": str(path), "test_fraction": 0.25, "seed": 0}
+
+
+def test_run_non_finite_csv_cell_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    doc = dict(TOY_CONFIG, out_dir=str(out_dir), dataset=_csv_with_nan(tmp_path))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 8, column 2: 'nan'" in err
+    assert not (out_dir / "report.jsonl").exists()
+
+
+def test_attack_eval_non_finite_csv_cell_exits_2(toy_run, tmp_path, capsys):
+    _, out_dir, _ = toy_run
+    descriptor = tmp_path / "dataset.json"
+    descriptor.write_text(json.dumps(_csv_with_nan(tmp_path)))
+    code = main(["attack-eval", "--checkpoint",
+                 str(out_dir / "checkpoint_final.bin"),
+                 "--dataset", str(descriptor), "--attacker-epochs", "1"])
+    assert code == 2
+    assert "row 8, column 2: 'nan' is not finite" in capsys.readouterr().err
 
 
 def test_cli_overrides_seed_and_out_dir(tmp_path):

@@ -131,6 +131,15 @@ def test_csv_bad_cell_names_row_and_column(tmp_path):
                       "seed": 0})
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_cell_rejected(tmp_path, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"1.0,2.0,0\n1.5,2.5,1\n{cell},3.0,0\n2.5,3.5,1\n")
+    with pytest.raises(ValueError, match=f"row 3, column 1: '{cell}' is not finite"):
+        load_dataset({"kind": "csv", "path": str(path), "test_fraction": 0.5,
+                      "seed": 0})
+
+
 def test_csv_negative_label_rejected(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("1.0,-1\n2.0,0\n")

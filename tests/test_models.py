@@ -15,7 +15,7 @@ from sparseguard.models import (
     posteriors,
 )
 from sparseguard.numcore import Tape, Tensor, ops
-from sparseguard.numcore.layers import Sequential
+from sparseguard.numcore.layers import Sequential, Weighted
 from sparseguard.sparse import active_count, sparsity
 
 MLP_SPEC = TargetSpec(kind="mlp", input_shape=(64,), hidden=(32, 16), classes=4)
@@ -84,7 +84,8 @@ def test_penultimate_matches_forward_pass(spec):
     model = build_target(spec, 0.5, rng)
     assert isinstance(model, Sequential)
     assert [id(p) for p in model.params()] == [
-        id(p) for layer in model.layers for p in layer.params()]
+        id(p) for layer in model.layers if isinstance(layer, Weighted)
+        for p in layer.params()]
     x = rng.normal(size=(9, spec.input_width))
     probs, hidden = model.penultimate(x)
     assert np.array_equal(probs, posteriors(model, x))

@@ -15,23 +15,8 @@ from sparseguard.numcore import (
     Tensor,
     ops,
 )
-from sparseguard.numcore.layers import (
-    Conv1d,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2,
-    ReLU,
-    Sequential,
-    Softmax,
-)
-from sparseguard.numcore.optim import (
-    AdamState,
-    LrSchedule,
-    adam_step,
-    lr_at,
-    sgd_step,
-)
+from sparseguard.numcore.layers import Conv1d, Conv2d, Linear, Sequential
+from sparseguard.numcore.optim import AdamState, adam_step, sgd_step
 
 LN4 = 1.3862943611198906
 
@@ -242,20 +227,6 @@ def test_adam_zero_gradient_is_identity():
     np.testing.assert_allclose(p.data, [5.0])
 
 
-def test_lr_schedule_frozen_points():
-    sched = LrSchedule(base_rate=0.1, milestones=[100, 150], decay_factor=0.1)
-    assert lr_at(sched, 0) == pytest.approx(0.1)
-    assert lr_at(sched, 99) == pytest.approx(0.1)
-    assert lr_at(sched, 100) == pytest.approx(0.01)
-    assert lr_at(sched, 120) == pytest.approx(0.01)
-    assert lr_at(sched, 180) == pytest.approx(0.001, rel=1e-12)
-
-
-def test_lr_schedule_rejects_unsorted_milestones():
-    with pytest.raises(ValueError):
-        LrSchedule(base_rate=0.1, milestones=[150, 100], decay_factor=0.1)
-
-
 def test_masked_weight_closure_many_steps():
     rng = np.random.default_rng(11)
     layer = Linear(6, 5, rng, weight_scale=0.5, masked=True)
@@ -275,7 +246,7 @@ def test_training_step_determinism_bitwise():
     def run():
         rng = np.random.default_rng(7)
         net = Sequential(
-            [Linear(5, 8, rng, 0.5), ReLU(), Linear(8, 3, rng, 0.5), Softmax()]
+            [Linear(5, 8, rng, 0.5), ops.relu, Linear(8, 3, rng, 0.5), ops.softmax]
         )
         x = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
         labels = np.array([0, 1, 2, 0])
@@ -294,7 +265,7 @@ def test_training_step_determinism_bitwise():
 
 def test_fd_mlp_cross_entropy():
     rng = np.random.default_rng(21)
-    net = Sequential([Linear(5, 7, rng, 0.6), ReLU(), Linear(7, 3, rng, 0.6), Softmax()])
+    net = Sequential([Linear(5, 7, rng, 0.6), ops.relu, Linear(7, 3, rng, 0.6), ops.softmax])
     x = Tensor(rng.normal(size=(4, 5)))
     labels = np.array([0, 2, 1, 2])
     err = fd_max_rel_err(lambda: ops.cross_entropy(net(x), labels), net.params())
@@ -304,7 +275,7 @@ def test_fd_mlp_cross_entropy():
 def test_fd_masked_mlp():
     rng = np.random.default_rng(22)
     net = Sequential(
-        [Linear(6, 9, rng, 0.6, masked=True), ReLU(), Linear(9, 4, rng, 0.6, masked=True), Softmax()]
+        [Linear(6, 9, rng, 0.6, masked=True), ops.relu, Linear(9, 4, rng, 0.6, masked=True), ops.softmax]
     )
     for layer in (net.layers[0], net.layers[2]):
         layer.mask[...] = (rng.random(layer.mask.shape) < 0.5).astype(np.float64)
@@ -320,11 +291,11 @@ def test_fd_conv2d_valid_maxpool():
     net = Sequential(
         [
             Conv2d(1, 3, 3, rng, 0.5, padding="valid"),
-            ReLU(),
-            MaxPool2(),
-            Flatten(),
+            ops.relu,
+            ops.maxpool2,
+            ops.flatten,
             Linear(12, 3, rng, 0.5),
-            Softmax(),
+            ops.softmax,
         ]
     )
     x = Tensor(rng.normal(size=(2, 1, 6, 6)))
@@ -338,7 +309,7 @@ def test_fd_conv2d_same_masked():
     conv = Conv2d(2, 3, 3, rng, 0.5, padding="same", masked=True)
     conv.mask[...] = (rng.random(conv.mask.shape) < 0.6).astype(np.float64)
     conv.w.data *= conv.mask
-    net = Sequential([conv, ReLU(), Flatten(), Linear(48, 2, rng, 0.5), Softmax()])
+    net = Sequential([conv, ops.relu, ops.flatten, Linear(48, 2, rng, 0.5), ops.softmax])
     x = Tensor(rng.normal(size=(2, 2, 4, 4)))
     labels = np.array([0, 1])
     err = fd_max_rel_err(lambda: ops.cross_entropy(net(x), labels), net.params())
@@ -350,7 +321,7 @@ def test_fd_conv1d_strided_sigmoid_bce():
     rng = np.random.default_rng(25)
     conv = Conv1d(1, 4, 5, rng, 0.5, stride=3)
     length_out = (23 - 5) // 3 + 1
-    net = Sequential([conv, ReLU(), Flatten(), Linear(4 * length_out, 1, rng, 0.5)])
+    net = Sequential([conv, ops.relu, ops.flatten, Linear(4 * length_out, 1, rng, 0.5)])
     x = Tensor(rng.normal(size=(3, 1, 23)))
     targets = np.array([1.0, 0.0, 1.0])
 
@@ -365,7 +336,7 @@ def test_fd_conv1d_strided_sigmoid_bce():
 
 def test_fd_row_entropy_mean():
     rng = np.random.default_rng(26)
-    net = Sequential([Linear(4, 6, rng, 0.8), ReLU(), Linear(6, 3, rng, 0.8), Softmax()])
+    net = Sequential([Linear(4, 6, rng, 0.8), ops.relu, Linear(6, 3, rng, 0.8), ops.softmax])
     x = Tensor(rng.normal(size=(5, 4)))
 
     def loss_fn():
@@ -377,8 +348,8 @@ def test_fd_row_entropy_mean():
 
 def test_fd_concat_fusion():
     rng = np.random.default_rng(27)
-    stream_a = Sequential([Linear(3, 5, rng, 0.5), ReLU()])
-    stream_b = Sequential([Linear(4, 5, rng, 0.5), ReLU()])
+    stream_a = Sequential([Linear(3, 5, rng, 0.5), ops.relu])
+    stream_b = Sequential([Linear(4, 5, rng, 0.5), ops.relu])
     head = Sequential([Linear(10, 1, rng, 0.5)])
     xa = Tensor(rng.normal(size=(4, 3)))
     xb = Tensor(rng.normal(size=(4, 4)))

@@ -13,6 +13,7 @@ from sparseguard.orchestrator import (
     IterationReport,
     RunConfig,
     generate_candidates,
+    learning_rate_at,
     run_compression,
     select_best,
     train_phase,
@@ -69,11 +70,52 @@ def test_config_validation():
         ({"prune_rate_start": 1.5}, "prune_rate_start must be in"),
         ({"prune_rate_end": 0.0}, "prune_rate_end must be in"),
         ({"probe_size": 0}, "probe_size must be >= 1"),
+        ({"attacker_learning_rate": -0.001},
+         "attacker_learning_rate must be > 0"),
+        ({"attacker_learning_rate": 0}, "attacker_learning_rate must be > 0"),
+        ({"attacker_epochs_first": -3}, "attacker_epochs_first must be >= 0"),
+        ({"attacker_epochs_topup": -1}, "attacker_epochs_topup must be >= 0"),
+        ({"attacker_finetune_epochs": -1},
+         "attacker_finetune_epochs must be >= 0"),
+        ({"lam": -1.0}, "lam must be >= 0"),
+        ({"tau": -0.1}, "tau must be >= 0"),
     ]
     for change, message in out_of_range:
         with pytest.raises(ValueError, match=message):
             toy_config(**change)
     assert toy_config(omega=1.0).omega == 1.0
+    assert toy_config(attacker_epochs_first=0, lam=0.0, tau=0.0).tau == 0.0
+
+
+def test_learning_rate_at_frozen_points():
+    config = toy_config(total_epochs=200.0, lr_milestones=(0.5, 0.75),
+                        learning_rate=0.1, lr_decay=0.1)
+    assert learning_rate_at(config, 0) == pytest.approx(0.1)
+    assert learning_rate_at(config, 99) == pytest.approx(0.1)
+    assert learning_rate_at(config, 100) == pytest.approx(0.01)
+    assert learning_rate_at(config, 180) == pytest.approx(0.001, rel=1e-12)
+
+
+def test_learning_rate_at_small_budgets():
+    # 0.5 and 0.6 of 2 epochs both floor to epoch 1: one decay, not two
+    merged = toy_config(total_epochs=2.0, lr_milestones=(0.5, 0.6))
+    assert learning_rate_at(merged, 0) == pytest.approx(0.1)
+    assert learning_rate_at(merged, 1) == pytest.approx(0.01)
+    assert learning_rate_at(merged, 5) == pytest.approx(0.01)
+    # the default milestones floor to epoch 0 at a 1-epoch budget
+    single = toy_config(total_epochs=1.0)
+    assert single.lr_milestones == RunConfig.lr_milestones
+    assert learning_rate_at(single, 0) == learning_rate_at(single, 3) == 0.1
+
+
+@pytest.mark.parametrize("milestones", [(0.75, 0.5), (2.0,), (0.0,),
+                                        (0.5, 0.5), (1.0,)],
+                         ids=["decreasing", "above 1", "zero", "repeated",
+                              "one"])
+def test_lr_milestones_must_increase_within_the_run(milestones):
+    with pytest.raises(ValueError, match="lr_milestones must be strictly "
+                                         "increasing fractions in"):
+        toy_config(lr_milestones=milestones)
 
 
 # ---------------------------------------------------------------- selection
