@@ -3,8 +3,8 @@
 Layout: b"SFCMP1" | u32 little-endian header length | header JSON (UTF-8) |
 every parameter array as little-endian float64 in model.params() order |
 every mask as a little-bit-order packed bitset in masked_layers() order.
-Loading rebuilds the architecture from the recorded target spec and restores
-weights bit-exactly and masks exactly.
+Loading checks the recorded target spec like a config's, rebuilds the
+architecture from it, and restores finite weights bit-exactly and masks exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import SparseModel, TargetSpec, build_target
+from .config import target_spec_from
+from .models import SparseModel, build_target
 from .sparse import active_count
 
 MAGIC = b"SFCMP1"
@@ -102,7 +103,7 @@ def load_checkpoint(path) -> Checkpoint:
         spec_doc = header["target"]
         if header["spec_digest"] != _digest(spec_doc, header["omega"]):
             raise ValueError("checkpoint header digest mismatch")
-        spec = TargetSpec(**spec_doc)
+        spec = target_spec_from(spec_doc)
         # build at full density (always feasible), then overwrite everything
         model = build_target(spec, 1.0, np.random.default_rng(0))
         params = model.params()
@@ -111,6 +112,8 @@ def load_checkpoint(path) -> Checkpoint:
         for p in params:
             raw = _read_exact(fh, p.data.size * 8, "weights")
             p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
+            if not np.all(np.isfinite(p.data)):
+                raise ValueError("checkpoint holds non-finite weights")
         layers = model.masked_layers()
         if [list(l.mask.shape) for l in layers] != header["mask_shapes"]:
             raise ValueError("checkpoint/spec mismatch: mask shapes differ")

@@ -115,7 +115,7 @@ def cmd_attack_eval(args) -> int:
         preds = outputs >= 0.5
         member_acc = float(preds[attack_eval.membership == 1].mean())
         nonmember_acc = float((~preds[attack_eval.membership == 0]).mean())
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc), 1)
     print(f"mode: {mode}")
     print(f"MIA accuracy: {acc:.4f}")

@@ -134,11 +134,20 @@ def _parse_delimited(path: str, delimiter: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def _standardize(train: LabeledSet, test: LabeledSet) -> tuple[LabeledSet, LabeledSet]:
-    mean = train.x.mean(axis=0)
-    std = train.x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (LabeledSet((train.x - mean) / std, train.y),
-            LabeledSet((test.x - mean) / std, test.y))
+    # huge finite cells can overflow the statistics or the scaled values
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.x.mean(axis=0)
+        std = train.x.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        train_x, test_x = (train.x - mean) / std, (test.x - mean) / std
+    finite = (np.isfinite(mean) & np.isfinite(std)
+              & np.isfinite(train_x).all(axis=0) & np.isfinite(test_x).all(axis=0))
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(
+            f"feature column {j + 1} does not standardize to finite values "
+            f"(training mean {mean[j]:.6g}, standard deviation {std[j]:.6g})")
+    return LabeledSet(train_x, train.y), LabeledSet(test_x, test.y)
 
 
 def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:

@@ -41,7 +41,7 @@ def check_case(name: str, builder, rng: np.random.Generator,
     tape.backward(loss)
     analytic = []
     for p in params:
-        g = p.grad.copy()
+        g = p.grad
         if p.mask is not None:
             g = g * p.mask
         analytic.append(g)

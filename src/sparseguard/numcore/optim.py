@@ -1,8 +1,8 @@
 """Optimizers: plain SGD and Adam.
 
 Both steppers honor parameter masks: the update is gated so mask-inactive
-weights stay exactly 0 no matter how many steps run. Gradients are zeroed
-after each step.
+weights stay exactly 0 no matter how many steps run. Each step consumes
+`grad` (None afterwards), so a step with no backward pass before it fails.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def sgd_step(params, learning_rate: float) -> None:
             update = update * p.mask
         check_finite(update, "sgd update")
         p.data -= update
-        p.grad[...] = 0.0
+        p.grad = None
 
 
 class AdamState:
@@ -52,4 +52,4 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
             update = update * p.mask
         check_finite(update, "adam update")
         p.data -= update
-        p.grad[...] = 0.0
+        p.grad = None

@@ -2,8 +2,9 @@
 
 Ops (see ops.py) append nodes to the innermost active Tape in execution
 order; Tape.backward walks them in exact reverse, which is a reverse
-topological order by construction. Everything is float64 and every produced
-array is checked finite; NaN/Inf anywhere is an error, not a warning.
+topological order by construction, and sets `grad` on each Parameter it
+reaches. Everything is float64 and every produced array is checked finite;
+NaN/Inf anywhere is an error, not a warning.
 """
 
 from __future__ import annotations
@@ -35,38 +36,33 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the gradient slot filled by Tape.backward."""
+    """A float64 array; a node or leaf of the recorded graph."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data, check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if check:
             check_finite(arr, "tensor data")
         self.data = arr
-        self.grad = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)})"
 
 
 class Parameter(Tensor):
-    """Trainable tensor. The gradient buffer persists across steps and is
-    zeroed by the tape at the start of every backward pass. An optional 0/1
-    mask (same shape) gates optimizer updates; gradients stay dense."""
+    """Trainable tensor. `grad` holds d(loss)/d(parameter) from the last
+    backward pass until an optimizer step consumes it (None otherwise). An
+    optional 0/1 mask (same shape) gates updates; gradients stay dense."""
 
-    __slots__ = ("mask",)
+    __slots__ = ("mask", "grad")
 
     def __init__(self, data, mask: np.ndarray | None = None):
         super().__init__(data)
         if mask is not None and mask.shape != self.data.shape:
             raise ValueError("mask shape must match parameter shape")
         self.mask = mask
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
 
 
 def as_tensor(x) -> Tensor:
@@ -92,13 +88,10 @@ class Tape:
     def record(self, out: Tensor, parents: tuple, backward_fn) -> None:
         self._nodes.append((out, parents, backward_fn))
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and accumulate adjoints into every node
-        reachable backwards from the recorded ops. Parameter gradients are
-        reset first so each backward pass accumulates from zero."""
+        """Seed d(loss)/d(loss) = 1 and propagate adjoints through the
+        recorded ops in reverse. Each Parameter reached gets `grad` set to its
+        summed adjoint; no other tensor keeps one."""
         if self._consumed:
             raise GraphError("tape already consumed by a previous backward")
         if not self._nodes:
@@ -107,27 +100,18 @@ class Tape:
             raise GraphError("loss must be a scalar node")
         self._consumed = True
 
-        seen = set()
-        for _, parents, _ in self._nodes:
-            for p in parents:
-                if id(p) in seen:
-                    continue
-                seen.add(id(p))
-                if isinstance(p, Parameter):
-                    p.grad[...] = 0.0
-                else:
-                    p.grad = None
-
-        loss.grad = np.ones_like(loss.data)
+        adjoints = {id(loss): np.ones_like(loss.data)}
         for out, parents, fn in reversed(self._nodes):
-            g = out.grad
+            g = adjoints.pop(id(out), None)
             if g is None:
                 continue
             for parent, pg in zip(parents, fn(g)):
                 if pg is None:
                     continue
                 check_finite(pg, "gradient")
-                if parent.grad is None:
+                key = id(parent)
+                if key in adjoints:
+                    pg = adjoints[key] + pg
+                adjoints[key] = pg
+                if isinstance(parent, Parameter):
                     parent.grad = pg
-                else:
-                    parent.grad = parent.grad + pg

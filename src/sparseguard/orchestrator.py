@@ -274,8 +274,7 @@ def _probe_gradients(model, probe_x, probe_y, config: RunConfig) -> dict:
         probs = model(probe_x)
         loss = training_loss(probs, probe_y, config.variant, config.beta)
     tape.backward(loss)
-    return {k: layer.w.grad.copy()
-            for k, layer in enumerate(model.masked_layers())}
+    return {k: layer.w.grad for k, layer in enumerate(model.masked_layers())}
 
 
 def _pooled_tau(model, prune_rate: float) -> float:

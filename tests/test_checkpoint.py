@@ -1,11 +1,18 @@
 """Checkpoint format tests: lossless round trip, corruption detection."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from sparseguard.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from sparseguard.checkpoint import (
+    MAGIC,
+    _digest,
+    load_checkpoint,
+    save_checkpoint,
+)
 from sparseguard.models import TargetSpec, build_target
 from sparseguard.sparse import active_count
 
@@ -124,3 +131,44 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert load_checkpoint(path).iteration == 1
     assert os.listdir(tmp_path) == ["m.bin"]
+
+
+def _resign_header(path, edit):
+    """Apply edit(header) to a saved checkpoint and recompute its digest, so
+    only the edited content can be rejected."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+    header = json.loads(blob[start:start + length])
+    edit(header)
+    header["spec_digest"] = _digest(header["target"], header["omega"])
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text
+                     + blob[start + length:])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"depth": 2}, "unknown target field: depth"),
+    ({"classes": "3"}, "target field classes must be an integer"),
+    ({"hidden": [12.5]}, "target field hidden[0] must be an integer"),
+], ids=["unknown key", "string classes", "float width"])
+def test_malformed_target_rejected(tmp_path, change, message):
+    model = random_model(np.random.default_rng(7))
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    _resign_header(path, lambda header: header["target"].update(change))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(tmp_path, value):
+    model = random_model(np.random.default_rng(8))
+    model.params()[-1].data[0] = value
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    with pytest.raises(ValueError, match="non-finite weights"):
+        load_checkpoint(path)

@@ -1,10 +1,15 @@
 """End-to-end command-line tests over a toy experiment."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
+from sparseguard.checkpoint import MAGIC, _digest, save_checkpoint
 from sparseguard.cli import build_parser, main
+from sparseguard.config import target_spec_from
+from sparseguard.models import build_target
 from sparseguard.orchestrator import RunConfig
 from sparseguard.report import read_report
 
@@ -142,13 +147,26 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     assert not (out_dir / "report.jsonl").exists()
 
 
-def _csv_with_nan(tmp_path):
-    path = tmp_path / "nan.csv"
-    rows = [f"{i * 0.1},{i % 4 * 0.5},{i % 3 - 1},{i * 0.2},{i % 3}"
-            for i in range(40)]
-    rows[7] = "0.7,nan,0.0,1.4,1"
+TOY_CSV_ROWS = [f"{i * 0.1},{i % 4 * 0.5},{i % 3 - 1},{i * 0.2},{i % 3}"
+                for i in range(40)]
+
+
+def _toy_csv(tmp_path, rows):
+    path = tmp_path / "data.csv"
     path.write_text("\n".join(rows) + "\n")
     return {"kind": "csv", "path": str(path), "test_fraction": 0.25, "seed": 0}
+
+
+def _csv_with_nan(tmp_path):
+    rows = list(TOY_CSV_ROWS)
+    rows[7] = "0.7,nan,0.0,1.4,1"
+    return _toy_csv(tmp_path, rows)
+
+
+def _csv_with_huge_column(tmp_path):
+    # 1e308 in every row of column 1 overflows its training mean
+    return _toy_csv(tmp_path, ["1e308" + row[row.index(","):]
+                               for row in TOY_CSV_ROWS])
 
 
 def test_run_non_finite_csv_cell_exits_2(tmp_path, capsys):
@@ -171,6 +189,84 @@ def test_attack_eval_non_finite_csv_cell_exits_2(toy_run, tmp_path, capsys):
                  "--dataset", str(descriptor), "--attacker-epochs", "1"])
     assert code == 2
     assert "row 8, column 2: 'nan' is not finite" in capsys.readouterr().err
+
+
+HUGE_COLUMN_MESSAGE = ("feature column 1 does not standardize to finite "
+                       "values (training mean inf")
+
+
+def test_run_overflowing_csv_column_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    doc = dict(TOY_CONFIG, out_dir=str(out_dir),
+               dataset=_csv_with_huge_column(tmp_path))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and HUGE_COLUMN_MESSAGE in err
+    assert not (out_dir / "report.jsonl").exists()
+
+
+def _toy_checkpoint(path, weight=None, target_change=None):
+    """A checkpoint of an untrained toy target. `weight` overwrites every
+    parameter value; `target_change` edits the recorded target spec under a
+    recomputed digest, so only the edited content can be rejected."""
+    spec = target_spec_from(TOY_CONFIG["target"])
+    model = build_target(spec, TOY_CONFIG["omega"], np.random.default_rng(0))
+    if weight is not None:
+        for p in model.params():
+            p.data[...] = weight
+    save_checkpoint(path, model, iteration=1, seed=0,
+                    dataset=TOY_CONFIG["dataset"], attacker_mode="blackbox")
+    if target_change is not None:
+        blob = path.read_bytes()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+        header = json.loads(blob[start:start + length])
+        header["target"].update(target_change)
+        header["spec_digest"] = _digest(header["target"], header["omega"])
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text
+                         + blob[start + length:])
+    return path
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"target_change": {"depth": 2}}, "unknown target field: depth"),
+    ({"target_change": {"classes": "3"}},
+     "target field classes must be an integer"),
+    ({"weight": np.nan}, "checkpoint holds non-finite weights"),
+], ids=["unknown target key", "string classes", "nan weight"])
+def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
+                                                  message):
+    path = _toy_checkpoint(tmp_path / "c.bin", **edits)
+    assert main(["attack-eval", "--checkpoint", str(path),
+                 "--attacker-epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_attack_eval_overflowing_csv_column_exits_2(tmp_path, capsys):
+    descriptor = tmp_path / "dataset.json"
+    descriptor.write_text(json.dumps(_csv_with_huge_column(tmp_path)))
+    code = main(["attack-eval", "--checkpoint",
+                 str(_toy_checkpoint(tmp_path / "c.bin")),
+                 "--dataset", str(descriptor), "--attacker-epochs", "1"])
+    assert code == 2
+    assert HUGE_COLUMN_MESSAGE in capsys.readouterr().err
+
+
+# the overflow is the case under test; whether numpy also warns about it
+# inside matmul depends on the numpy version
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_attack_eval_runtime_overflow_exits_1(tmp_path, capsys):
+    # finite weights load, then overflow in the target's forward pass
+    path = _toy_checkpoint(tmp_path / "c.bin", weight=1e308)
+    code = main(["attack-eval", "--checkpoint", str(path),
+                 "--attacker-epochs", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: non-finite values in "
+                                       "tensor data\n")
 
 
 def test_cli_overrides_seed_and_out_dir(tmp_path):

@@ -140,6 +140,24 @@ def test_csv_non_finite_cell_rejected(tmp_path, cell):
                       "seed": 0})
 
 
+@pytest.mark.parametrize("train_rows, test_rows, column", [
+    # two 1e308 cells overflow the training mean of column 1
+    (["1e308,2.0,0", "1e308,2.5,1", "3.0,3.0,0", "4.0,3.5,1"],
+     ["1.0,1.0,0", "2.0,2.0,1"], 1),
+    # column 2's training spread is 5e-151, so a test value of 1e160 overflows
+    (["1.0,0.0,0", "2.0,1e-150,1", "3.0,0.0,0", "4.0,1e-150,1"],
+     ["1.0,1e160,0", "2.0,0.0,1"], 2),
+], ids=["training mean", "scaled test value"])
+def test_csv_column_that_overflows_standardization_rejected(
+        tmp_path, train_rows, test_rows, column):
+    for name, rows in (("train.csv", train_rows), ("test.csv", test_rows)):
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"feature column {column} does not "
+                                         "standardize to finite values"):
+        load_dataset({"kind": "csv", "path": str(tmp_path / "train.csv"),
+                      "test_path": str(tmp_path / "test.csv")})
+
+
 def test_csv_negative_label_rejected(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("1.0,-1\n2.0,0\n")
