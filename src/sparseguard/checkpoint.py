@@ -3,21 +3,24 @@
 Layout: b"SFCMP1" | u32 little-endian header length | header JSON (UTF-8) |
 every parameter array as little-endian float64 in model.params() order |
 every mask as a little-bit-order packed bitset in masked_layers() order.
-Loading checks the recorded target spec like a config's, rebuilds the
-architecture from it, and restores finite weights bit-exactly and masks exactly.
+Loading checks the recorded target spec like a config's and the other header
+fields by type, rebuilds the architecture from the spec, and restores finite
+weights bit-exactly and masks exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import target_spec_from
+from .attack import MODES
+from .config import check_json_type, target_spec_from
 from .models import SparseModel, build_target
 from .sparse import active_count
 
@@ -83,6 +86,23 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
             os.remove(tmp)
 
 
+def _check_header(header: dict) -> None:
+    """Check the header's fields other than the target spec by type, as a
+    run writes them; the digest does not cover most of them."""
+    for key in ("omega", "epsilon"):
+        check_json_type(header[key], "float", f"checkpoint field {key}")
+        if not math.isfinite(header[key]):
+            raise ValueError(f"checkpoint field {key} must be finite")
+    for key in ("iteration", "seed"):
+        check_json_type(header[key], "int", f"checkpoint field {key}")
+        if header[key] < 0:
+            raise ValueError(f"checkpoint field {key} must be >= 0")
+    if header["attacker_mode"] not in MODES:
+        raise ValueError(f"checkpoint field attacker_mode must be one of "
+                         f"{MODES}")
+    check_json_type(header["dataset"], "dict", "checkpoint field dataset")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -103,6 +123,7 @@ def load_checkpoint(path) -> Checkpoint:
         spec_doc = header["target"]
         if header["spec_digest"] != _digest(spec_doc, header["omega"]):
             raise ValueError("checkpoint header digest mismatch")
+        _check_header(header)
         spec = target_spec_from(spec_doc)
         # build at full density (always feasible), then overwrite everything
         model = build_target(spec, 1.0, np.random.default_rng(0))
@@ -132,7 +153,7 @@ def load_checkpoint(path) -> Checkpoint:
     model.omega = float(header["omega"])
     model.epsilon = float(header["epsilon"])
     return Checkpoint(model=model, omega=float(header["omega"]),
-                      iteration=int(header["iteration"]),
-                      seed=int(header["seed"]), dataset=header["dataset"],
+                      iteration=header["iteration"],
+                      seed=header["seed"], dataset=header["dataset"],
                       attacker_mode=header["attacker_mode"],
                       spec_digest=header["spec_digest"])

@@ -49,7 +49,7 @@ _JSON_TYPES = {
 }
 
 
-def _check_json_type(value, kind: str, what: str) -> None:
+def check_json_type(value, kind: str, what: str) -> None:
     accepted, noun = _JSON_TYPES[kind]
     if (isinstance(value, bool) and bool not in accepted
             or not isinstance(value, accepted)):
@@ -77,9 +77,9 @@ def check_document(cls, doc: dict, prefix: str = "") -> None:
             continue
         kind, _, item = (kind.removesuffix(" | None").removesuffix(", ...]")
                          .partition("["))
-        _check_json_type(value, kind, f"{prefix}field {name}")
+        check_json_type(value, kind, f"{prefix}field {name}")
         for i, v in enumerate(value if item else ()):
-            _check_json_type(v, item, f"{prefix}field {name}[{i}]")
+            check_json_type(v, item, f"{prefix}field {name}[{i}]")
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -28,28 +28,52 @@ def sgd_step(params, learning_rate: float) -> None:
 
 
 class AdamState:
-    """First/second moment buffers aligned with the parameter list by index,
-    so a deep copy of (model, state) stays consistent."""
+    """First/second moments of every parameter, each held as one flat array
+    laid out in parameter-list order, so a deep copy of (model, state) stays
+    consistent."""
 
     def __init__(self, params):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        size = sum(p.data.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
 
 def adam_step(params, state: AdamState, learning_rate: float) -> None:
-    """Textbook bias-corrected update; moments updated in place."""
+    """Textbook bias-corrected update, run as whole-buffer in-place ops over
+    all parameters at once; the update is checked finite before any
+    parameter moves."""
+    if any(p.grad is None for p in params):
+        raise TypeError("adam_step needs a gradient for every parameter")
+    if sum(p.data.size for p in params) != state.m.size:
+        raise ValueError("parameters do not match the Adam state's size")
     state.t += 1
     t = state.t
-    for i, p in enumerate(params):
-        g = p.grad
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    # the gathered gradient doubles as scratch once the moments are updated
+    g = np.concatenate([p.grad.reshape(-1) for p in params])
+    step = np.empty_like(g)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    np.add(m, step, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    np.multiply(step, g, out=step)
+    np.add(v, step, out=v)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
+    np.multiply(step, learning_rate, out=step)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, ADAM_EPS, out=g)
+    np.divide(step, g, out=step)
+    segments, start = [], 0
+    for p in params:
+        seg = step[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
         if p.mask is not None:
-            update = update * p.mask
-        check_finite(update, "adam update")
-        p.data -= update
+            np.multiply(seg, p.mask, out=seg)
+        segments.append(seg)
+    check_finite(step, "adam update")
+    for p, seg in zip(params, segments):
+        p.data -= seg
         p.grad = None

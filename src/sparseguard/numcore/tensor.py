@@ -30,7 +30,7 @@ def active_tape():
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
 

@@ -172,3 +172,30 @@ def test_non_finite_weight_rejected(tmp_path, value):
                     attacker_mode="blackbox")
     with pytest.raises(ValueError, match="non-finite weights"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", None, "checkpoint field epsilon must be a number"),
+    ("epsilon", "0.1", "checkpoint field epsilon must be a number"),
+    ("epsilon", float("nan"), "checkpoint field epsilon must be finite"),
+    ("omega", None, "checkpoint field omega must be a number"),
+    ("iteration", None, "checkpoint field iteration must be an integer"),
+    ("iteration", 1.0, "checkpoint field iteration must be an integer"),
+    ("iteration", True, "checkpoint field iteration must be an integer"),
+    ("seed", False, "checkpoint field seed must be an integer"),
+    ("seed", -1, "checkpoint field seed must be >= 0"),
+    ("attacker_mode", "greybox",
+     "checkpoint field attacker_mode must be one of"),
+    ("attacker_mode", None, "checkpoint field attacker_mode must be one of"),
+    ("dataset", None, "checkpoint field dataset must be an object"),
+    ("dataset", ["blobs"], "checkpoint field dataset must be an object"),
+])
+def test_malformed_header_field_rejected(tmp_path, key, value, message):
+    model = random_model(np.random.default_rng(9))
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    _resign_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert message in str(info.value)

@@ -2,10 +2,12 @@
 
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
 
+from sparseguard import cli
 from sparseguard.checkpoint import MAGIC, _digest, save_checkpoint
 from sparseguard.cli import build_parser, main
 from sparseguard.config import target_spec_from
@@ -207,10 +209,12 @@ def test_run_overflowing_csv_column_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.jsonl").exists()
 
 
-def _toy_checkpoint(path, weight=None, target_change=None):
+def _toy_checkpoint(path, weight=None, target_change=None,
+                    header_change=None):
     """A checkpoint of an untrained toy target. `weight` overwrites every
-    parameter value; `target_change` edits the recorded target spec under a
-    recomputed digest, so only the edited content can be rejected."""
+    parameter value; `target_change` edits the recorded target spec and
+    `header_change` the other header fields, under a recomputed digest, so
+    only the edited content can be rejected."""
     spec = target_spec_from(TOY_CONFIG["target"])
     model = build_target(spec, TOY_CONFIG["omega"], np.random.default_rng(0))
     if weight is not None:
@@ -218,12 +222,13 @@ def _toy_checkpoint(path, weight=None, target_change=None):
             p.data[...] = weight
     save_checkpoint(path, model, iteration=1, seed=0,
                     dataset=TOY_CONFIG["dataset"], attacker_mode="blackbox")
-    if target_change is not None:
+    if target_change is not None or header_change is not None:
         blob = path.read_bytes()
         start = len(MAGIC) + 4
         (length,) = struct.unpack("<I", blob[len(MAGIC):start])
         header = json.loads(blob[start:start + length])
-        header["target"].update(target_change)
+        header["target"].update(target_change or {})
+        header.update(header_change or {})
         header["spec_digest"] = _digest(header["target"], header["omega"])
         text = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text
@@ -236,7 +241,14 @@ def _toy_checkpoint(path, weight=None, target_change=None):
     ({"target_change": {"classes": "3"}},
      "target field classes must be an integer"),
     ({"weight": np.nan}, "checkpoint holds non-finite weights"),
-], ids=["unknown target key", "string classes", "nan weight"])
+    ({"header_change": {"epsilon": None}},
+     "checkpoint field epsilon must be a number"),
+    ({"header_change": {"iteration": None}},
+     "checkpoint field iteration must be an integer"),
+    ({"header_change": {"attacker_mode": "greybox"}},
+     "checkpoint field attacker_mode must be one of"),
+], ids=["unknown target key", "string classes", "nan weight", "null epsilon",
+        "null iteration", "unknown attacker mode"])
 def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                                                   message):
     path = _toy_checkpoint(tmp_path / "c.bin", **edits)
@@ -312,6 +324,29 @@ def test_gradcheck_command(capsys):
     out = capsys.readouterr().out
     assert "max relative error" in out
     assert "gradient check passed" in out
+
+
+class _FakeMallopt:
+    def __init__(self):
+        self.settings = []
+
+    def __call__(self, param, value):
+        self.settings.append((param, value))
+        return 1
+
+
+def test_main_pins_the_heap_before_dispatch(monkeypatch):
+    mallopt = _FakeMallopt()
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert main(["gradcheck"]) == 0
+    assert mallopt.settings == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                             (cli.M_TRIM_THRESHOLD, 256 << 20)]
+
+
+def test_heap_pin_is_a_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(["gradcheck"]) == 0
 
 
 def test_report_command(toy_run, capsys):

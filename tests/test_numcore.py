@@ -16,7 +16,14 @@ from sparseguard.numcore import (
     ops,
 )
 from sparseguard.numcore.layers import Conv1d, Conv2d, Linear, Sequential
-from sparseguard.numcore.optim import AdamState, adam_step, sgd_step
+from sparseguard.numcore.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    adam_step,
+    sgd_step,
+)
 
 LN4 = 1.3862943611198906
 
@@ -225,6 +232,61 @@ def test_adam_zero_gradient_is_identity():
     p.grad = np.array([0.0])
     adam_step([p], state, 0.001)
     np.testing.assert_allclose(p.data, [5.0])
+
+
+def _per_parameter_adam(params, m, v, t, learning_rate):
+    """Adam as one update per parameter array, with fresh temporaries: the
+    reference the flat in-place update must match bit for bit."""
+    for i, p in enumerate(params):
+        g = p.grad
+        m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v[i] / (1.0 - ADAM_BETA2 ** t)
+        update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if p.mask is not None:
+            update = update * p.mask
+        p.data -= update
+        p.grad = None
+
+
+def test_adam_matches_the_per_parameter_update_bitwise():
+    rng = np.random.default_rng(12)
+    shapes = [(5, 4), (4,), (3, 2, 2)]
+    mask = (rng.random((5, 4)) < 0.5).astype(np.float64)
+    init = [rng.normal(size=s) for s in shapes]
+    init[0] *= mask
+
+    def make():
+        return [Parameter(init[0].copy(), mask=mask.copy()),
+                Parameter(init[1].copy()), Parameter(init[2].copy())]
+
+    flat, ref = make(), make()
+    state = AdamState(flat)
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 51):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 2), size=s)
+                 for s in shapes]
+        for p, q, g in zip(flat, ref, grads):
+            p.grad, q.grad = g.copy(), g.copy()
+        adam_step(flat, state, 0.01)
+        _per_parameter_adam(ref, m, v, t, 0.01)
+    for p, q in zip(flat, ref):
+        assert np.array_equal(p.data, q.data)
+        assert p.grad is None
+    assert np.all(flat[0].data[mask == 0] == 0.0)
+    assert not np.array_equal(flat[0].data, init[0])
+
+
+def test_adam_rejects_parameters_that_do_not_fit_the_state():
+    p = Parameter(np.zeros(3))
+    state = AdamState([p])
+    q = Parameter(np.zeros(4))
+    q.grad = np.ones(4)
+    with pytest.raises(ValueError, match="Adam state"):
+        adam_step([q], state, 0.001)
+    assert np.array_equal(q.data, np.zeros(4))
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
