@@ -123,6 +123,8 @@ def cmd_attack_eval(args) -> int:
         return _fail(str(exc), 2)
 
     seed = ckpt.seed if args.seed is None else args.seed
+    if seed < 0:
+        return _fail(f"seed must be >= 0, got {seed}", 2)
     seq = RngTree(seed)
     rng_split = seq.next()  # first spawn: matches the run's split stream
     try:

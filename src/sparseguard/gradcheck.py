@@ -86,6 +86,25 @@ def _case_conv2d(padding):
     return build
 
 
+def _case_conv2d_stacked(rng):
+    # the second conv's input needs a gradient, so its input-adjoint path runs
+    x = rng.normal(size=(2, 2, 5, 5))
+    first = Conv2d(2, 3, 3, rng, weight_scale=0.5, padding="same")
+    second = Conv2d(3, 2, 3, rng, weight_scale=0.5, padding="valid")
+    loss = lambda: ops.tsum(ops.relu(second(ops.relu(first(Tensor(x))))))
+    return [first.w, first.b, second.w, second.b], loss
+
+
+def _case_conv1d_fed(rng):
+    # a linear layer feeds the conv1d, so its input-adjoint path runs
+    x = rng.normal(size=(3, 4))
+    layer = Linear(4, 17, rng, weight_scale=0.5)
+    conv = Conv1d(1, 2, 5, rng, weight_scale=0.5, stride=3)
+    loss = lambda: ops.tsum(ops.relu(conv(ops.reshape(layer(Tensor(x)),
+                                                      (3, 1, 17)))))
+    return [layer.w, layer.b, conv.w, conv.b], loss
+
+
 def _case_conv1d_strided(rng):
     x = rng.normal(size=(3, 1, 17))
     conv = Conv1d(1, 2, 5, rng, weight_scale=0.5, stride=3)
@@ -172,7 +191,9 @@ CASES = {
     "linear-masked": _case_linear_masked,
     "conv2d-valid": _case_conv2d("valid"),
     "conv2d-same": _case_conv2d("same"),
+    "conv2d-stacked": _case_conv2d_stacked,
     "conv1d-strided": _case_conv1d_strided,
+    "conv1d-fed": _case_conv1d_fed,
     "maxpool": _case_maxpool,
     "sigmoid-bce": _case_sigmoid_bce,
     "fusion-concat": _case_fusion_concat,

@@ -1,5 +1,7 @@
 """Primitive differentiable ops. Each op computes its output eagerly and,
 when a tape is active, records a closure returning the parents' adjoints.
+The weighted ops (`linear`, `conv2d`, `conv1d`) return None for an input
+whose `needs_grad` is False instead of computing an adjoint nobody reads.
 
 Weight gradients of masked layers are DENSE: they are taken with respect to
 the matrix entering the product, so mask-inactive positions still receive a
@@ -88,7 +90,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None) -> T
     out = Tensor(x.data @ w_eff.T + b.data)
 
     def fn(g):
-        return g @ w_eff, g.T @ x.data, g.sum(axis=0)
+        gx = g @ w_eff if x.needs_grad else None
+        return gx, g.T @ x.data, g.sum(axis=0)
 
     _record(out, (x, w, b), fn)
     return out
@@ -154,6 +157,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None,
     def fn(g):
         gb = g.sum(axis=(0, 2, 3))
         gw = np.einsum("nohw,nhwk->ok", g, cols, optimize=True).reshape(w.data.shape)
+        if not x.needs_grad:
+            return None, gw, gb
         gcols = np.einsum("nohw,ok->nhwk", g, w_eff, optimize=True)
         gcols = gcols.reshape(n, oh, ow, ci, kh, kw)
         gxp = np.zeros_like(xp)
@@ -176,10 +181,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     if length < k:
         raise ValueError(f"conv1d input length {length} shorter than kernel {k}")
     ol = (length - k) // stride + 1
-    starts = stride * np.arange(ol)
 
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    cols = windows[:, :, starts, :]                       # (n, ci, ol, k)
+    cols = windows[:, :, ::stride]                        # (n, ci, ol, k) view
     cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n, ol, ci * k)
     w_eff = w.data.reshape(co, -1)
     out_data = np.einsum("nlk,ok->nol", cols, w_eff, optimize=True)
@@ -188,12 +192,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     def fn(g):
         gb = g.sum(axis=(0, 2))
         gw = np.einsum("nol,nlk->ok", g, cols, optimize=True).reshape(w.data.shape)
+        if not x.needs_grad:
+            return None, gw, gb
         gcols = np.einsum("nol,ok->nlk", g, w_eff, optimize=True)
         gcols = gcols.reshape(n, ol, ci, k)
         gx = np.zeros_like(x.data)
         for j in range(k):
-            # window starts are distinct for fixed j, so plain += is safe
-            gx[:, :, starts + j] += gcols[:, :, :, j].transpose(0, 2, 1)
+            gx[:, :, j:j + stride * ol:stride] += gcols[:, :, :, j].transpose(0, 2, 1)
         return gx, gw, gb
 
     _record(out, (x, w, b), fn)

@@ -5,6 +5,11 @@ order; Tape.backward walks them in exact reverse, which is a reverse
 topological order by construction, and sets `grad` on each Parameter it
 reaches. Everything is float64 and every produced array is checked finite;
 NaN/Inf anywhere is an error, not a warning.
+
+`needs_grad` says whether a tensor's adjoint can reach a Parameter: False
+for data, True for every Parameter, and for a recorded op output True if and
+only if some parent needs one. The weighted ops skip input adjoints nobody
+reads.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class Tensor:
     """A float64 array; a node or leaf of the recorded graph."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "needs_grad")
 
     def __init__(self, data, check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if check:
             check_finite(arr, "tensor data")
         self.data = arr
+        self.needs_grad = False
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)})"
@@ -63,6 +69,7 @@ class Parameter(Tensor):
             raise ValueError("mask shape must match parameter shape")
         self.mask = mask
         self.grad = None
+        self.needs_grad = True
 
 
 def as_tensor(x) -> Tensor:
@@ -86,6 +93,7 @@ class Tape:
         return False
 
     def record(self, out: Tensor, parents: tuple, backward_fn) -> None:
+        out.needs_grad = any(p.needs_grad for p in parents)
         self._nodes.append((out, parents, backward_fn))
 
     def backward(self, loss: Tensor) -> None:

@@ -118,6 +118,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
         if self.probe_size < 1:
             raise ValueError(f"probe_size must be >= 1, got {self.probe_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.attacker_mode not in MODES:
             raise ValueError(f"attacker mode must be one of {MODES}")
         if not 0.0 < self.validation_fraction < 1.0:

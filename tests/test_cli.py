@@ -129,6 +129,7 @@ def test_run_missing_config_file(tmp_path):
     ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
     ({"tau": -0.1, "pairs": ["threshold:gradient", "threshold:random"]},
      "tau must be >= 0, got -0.1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -137,7 +138,8 @@ def test_run_missing_config_file(tmp_path):
         "empty probe", "decreasing milestones", "milestone above 1",
         "negative attacker learning rate", "negative first attacker epochs",
         "negative top-up attacker epochs",
-        "negative fine-tune attacker epochs", "negative lam", "negative tau"])
+        "negative fine-tune attacker epochs", "negative lam", "negative tau",
+        "negative seed"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -169,6 +171,16 @@ def _csv_with_huge_column(tmp_path):
     # 1e308 in every row of column 1 overflows its training mean
     return _toy_csv(tmp_path, ["1e308" + row[row.index(","):]
                                for row in TOY_CSV_ROWS])
+
+
+def test_run_negative_seed_override_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TOY_CONFIG, out_dir=str(out_dir))))
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not (out_dir / "report.jsonl").exists()
 
 
 def test_run_non_finite_csv_cell_exits_2(tmp_path, capsys):
@@ -256,6 +268,14 @@ def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                  "--attacker-epochs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_attack_eval_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["attack-eval", "--checkpoint",
+                 str(_toy_checkpoint(tmp_path / "c.bin")),
+                 "--seed", "-1", "--attacker-epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_attack_eval_overflowing_csv_column_exits_2(tmp_path, capsys):

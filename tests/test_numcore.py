@@ -4,9 +4,12 @@ The finite-difference harness is the ground truth for every layer and loss:
 h = 1e-5 central differences on float64, relative error < 1e-4.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
+from sparseguard.models import Attacker, AttackerSpec
 from sparseguard.numcore import (
     GraphError,
     NonFiniteError,
@@ -445,3 +448,199 @@ def test_fd_concat_fusion():
     params = stream_a.params() + stream_b.params() + head.params()
     err = fd_max_rel_err(loss_fn, params)
     assert err < 1e-4
+
+
+# ------------------------------------------------ need-based input gradients
+
+
+def test_needs_grad_is_false_for_data_and_true_for_parameters():
+    assert Tensor(np.ones(3)).needs_grad is False
+    assert Parameter(np.ones(3)).needs_grad is True
+
+
+def test_op_output_needs_grad_iff_a_parent_does():
+    data = Tensor(np.ones((2, 3)))
+    param = Parameter(np.ones((2, 3)))
+    with Tape():
+        assert ops.relu(data).needs_grad is False
+        assert ops.add(data, data).needs_grad is False
+        assert ops.add(data, param).needs_grad is True
+        assert ops.add(param, data).needs_grad is True
+        assert ops.reshape(ops.relu(ops.mul(param, data)), (3, 2)).needs_grad
+        assert ops.concat([data, data]).needs_grad is False
+        assert ops.concat([data, ops.scale(param, 2.0)]).needs_grad is True
+    # nothing is recorded without a tape, so no output can need a gradient
+    assert ops.add(data, param).needs_grad is False
+
+
+def test_deepcopy_of_attacker_keeps_needs_grad():
+    spec = AttackerSpec(mode="whitebox", classes=3, grad_len=23,
+                        stream_hidden=10, embed=6, fusion_hidden=8,
+                        conv_filters=2, conv_kernel=5, conv_stride=3)
+    clone = copy.deepcopy(Attacker(spec, np.random.default_rng(0)))
+    assert clone.params()
+    assert all(p.needs_grad is True for p in clone.params())
+
+
+WEIGHTED_OPS = [
+    (ops.linear, (4, 5), (3, 5), {}),
+    (ops.conv2d, (2, 2, 5, 5), (3, 2, 3, 3), {"padding": "same"}),
+    (ops.conv1d, (2, 1, 17), (2, 1, 5), {"stride": 3}),
+]
+
+
+@pytest.mark.parametrize("op, x_shape, w_shape, kwargs", WEIGHTED_OPS,
+                         ids=["linear", "conv2d", "conv1d"])
+def test_weighted_op_skips_the_input_gradient_of_data(op, x_shape, w_shape,
+                                                      kwargs):
+    rng = np.random.default_rng(5)
+    w = Parameter(rng.normal(size=w_shape))
+    b = Parameter(rng.normal(size=w_shape[0]))
+    for tracked in (False, True):
+        x_data = rng.normal(size=x_shape)
+        x = Parameter(x_data) if tracked else Tensor(x_data)
+        with Tape() as tape:
+            out = op(x, w, b, **kwargs)
+        (recorded, parents, fn), = tape._nodes
+        assert recorded is out and parents == (x, w, b)
+        gx, gw, gb = fn(np.ones_like(out.data))
+        if tracked:
+            assert isinstance(gx, np.ndarray) and gx.shape == x_shape
+        else:
+            assert gx is None
+        assert gw.shape == w_shape and gb.shape == (w_shape[0],)
+
+
+# Test-local copies of the weighted ops as they were before the input
+# gradient became need-based: the reference for the bitwise test below.
+
+
+def _reference_linear(x, w, b, mask=None):
+    w_eff = w.data if mask is None else w.data * mask
+    out = Tensor(x.data @ w_eff.T + b.data)
+
+    def fn(g):
+        return g @ w_eff, g.T @ x.data, g.sum(axis=0)
+
+    ops._record(out, (x, w, b), fn)
+    return out
+
+
+def _reference_conv2d(x, w, b, mask=None, padding="valid"):
+    n, ci, height, width = x.data.shape
+    co, _, kh, kw = w.data.shape
+    if padding == "same":
+        ph0, pw0 = (kh - 1) // 2, (kw - 1) // 2
+        ph1, pw1 = kh - 1 - ph0, kw - 1 - pw0
+        xp = np.pad(x.data, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
+    else:
+        ph0 = pw0 = 0
+        xp = x.data
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    cols = cols.reshape(n, oh, ow, ci * kh * kw)
+    w_eff = (w.data if mask is None else w.data * mask).reshape(co, -1)
+    out_data = np.einsum("nhwk,ok->nohw", cols, w_eff, optimize=True)
+    out = Tensor(out_data + b.data[None, :, None, None])
+
+    def fn(g):
+        gb = g.sum(axis=(0, 2, 3))
+        gw = np.einsum("nohw,nhwk->ok", g, cols, optimize=True).reshape(w.data.shape)
+        gcols = np.einsum("nohw,ok->nhwk", g, w_eff, optimize=True)
+        gcols = gcols.reshape(n, oh, ow, ci, kh, kw)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        gx = gxp if padding == "valid" else gxp[:, :, ph0:ph0 + height, pw0:pw0 + width]
+        return gx, gw, gb
+
+    ops._record(out, (x, w, b), fn)
+    return out
+
+
+def _reference_conv1d(x, w, b, stride=1):
+    n, ci, length = x.data.shape
+    co, _, k = w.data.shape
+    ol = (length - k) // stride + 1
+    starts = stride * np.arange(ol)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
+    cols = windows[:, :, starts, :]
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n, ol, ci * k)
+    w_eff = w.data.reshape(co, -1)
+    out_data = np.einsum("nlk,ok->nol", cols, w_eff, optimize=True)
+    out = Tensor(out_data + b.data[None, :, None])
+
+    def fn(g):
+        gb = g.sum(axis=(0, 2))
+        gw = np.einsum("nol,nlk->ok", g, cols, optimize=True).reshape(w.data.shape)
+        gcols = np.einsum("nol,ok->nlk", g, w_eff, optimize=True)
+        gcols = gcols.reshape(n, ol, ci, k)
+        gx = np.zeros_like(x.data)
+        for j in range(k):
+            gx[:, :, starts + j] += gcols[:, :, :, j].transpose(0, 2, 1)
+        return gx, gw, gb
+
+    ops._record(out, (x, w, b), fn)
+    return out
+
+
+def _differentiate(op, x_data, w_data, b_data, adjoint, tracked, **kwargs):
+    """Forward output, weight and bias gradients, and the input gradient
+    (None for a data-leaf input) under the loss sum(op(...) * adjoint)."""
+    x = Parameter(x_data) if tracked else Tensor(x_data)
+    w, b = Parameter(w_data), Parameter(b_data)
+    with Tape() as tape:
+        out = op(x, w, b, **kwargs)
+        loss = ops.tsum(ops.mul(out, Tensor(adjoint)))
+    tape.backward(loss)
+    return out.data, w.grad, b.grad, x.grad if tracked else None
+
+
+def _weighted_cases(rng):
+    """Random shapes for each op: (new op, reference op, x, w, kwargs)."""
+    for _ in range(4):
+        n, ci, co = rng.integers(1, 5, size=3)
+        n_in = int(rng.integers(1, 40))
+        masked = rng.random() < 0.5
+        mask = (rng.random((co, n_in)) < 0.6).astype(np.float64) if masked else None
+        yield (ops.linear, _reference_linear, (n, n_in), (co, n_in),
+               {"mask": mask})
+        for padding in ("valid", "same"):
+            k = int(rng.integers(1, 4))
+            height, width = rng.integers(k, k + 6, size=2)
+            w_shape = (co, ci, k, k)
+            mask = ((rng.random(w_shape) < 0.6).astype(np.float64)
+                    if masked else None)
+            yield (ops.conv2d, _reference_conv2d, (n, ci, height, width),
+                   w_shape, {"mask": mask, "padding": padding})
+        for stride in (1, 3):
+            k = int(rng.integers(1, 6))
+            length = int(rng.integers(k, k + 30))
+            yield (ops.conv1d, _reference_conv1d, (n, ci, length), (co, ci, k),
+                   {"stride": stride})
+
+
+def test_weighted_ops_match_the_reference_bitwise():
+    rng = np.random.default_rng(31)
+    for op, reference, x_shape, w_shape, kwargs in _weighted_cases(rng):
+        x_data = rng.normal(size=x_shape)
+        w_data = rng.normal(size=w_shape)
+        b_data = rng.normal(size=w_shape[0])
+        out_shape = reference(Tensor(x_data), Tensor(w_data), Tensor(b_data),
+                              **kwargs).data.shape
+        adjoint = rng.normal(size=out_shape)
+        for tracked in (False, True):
+            got = _differentiate(op, x_data, w_data, b_data, adjoint,
+                                 tracked, **kwargs)
+            want = _differentiate(reference, x_data, w_data, b_data, adjoint,
+                                  tracked, **kwargs)
+            labels = ("output", "w.grad", "b.grad", "input gradient")
+            for label, a, e in zip(labels, got, want):
+                what = f"{op.__name__} {x_shape} {kwargs} tracked={tracked}: {label}"
+                if e is None:
+                    assert a is None, what
+                    continue
+                assert np.array_equal(a, e), what
+                assert a.strides == e.strides, what

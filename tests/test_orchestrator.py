@@ -79,12 +79,14 @@ def test_config_validation():
          "attacker_finetune_epochs must be >= 0"),
         ({"lam": -1.0}, "lam must be >= 0"),
         ({"tau": -0.1}, "tau must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ]
     for change, message in out_of_range:
         with pytest.raises(ValueError, match=message):
             toy_config(**change)
     assert toy_config(omega=1.0).omega == 1.0
     assert toy_config(attacker_epochs_first=0, lam=0.0, tau=0.0).tau == 0.0
+    assert toy_config(seed=0).seed == 0
 
 
 def test_learning_rate_at_frozen_points():
