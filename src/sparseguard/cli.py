@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .attack import (
     train_attacker,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config, to_run_config, with_overrides
+from .config import load_config
 from .data import load_dataset
 from .models import build_attacker
 from .orchestrator import (
@@ -61,31 +62,29 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        config = with_overrides(
-            config, seed=args.seed,
-            deterministic=True if args.deterministic else None,
-            out_dir=args.out_dir)
-        run_config = to_run_config(config)
-        datasets = load_dataset(config.dataset)
-        check_dataset_fits(run_config.target, datasets)
+        config, dataset, out_dir = load_config(args.config)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        if args.deterministic:
+            config = dataclasses.replace(config, deterministic=True)
+        datasets = load_dataset(dataset)
+        check_dataset_fits(config.target, datasets)
     except (OSError, TypeError, ValueError) as exc:
         return _fail(str(exc), 2)
 
-    out_dir = Path(config.out_dir)
+    out_dir = Path(out_dir if args.out_dir is None else args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.jsonl"
 
     def checkpointer(report, model):
         save_checkpoint(out_dir / f"checkpoint_{report.iteration:04d}.bin",
                         model, iteration=report.iteration, seed=config.seed,
-                        dataset=config.dataset,
-                        attacker_mode=config.attacker_mode)
+                        dataset=dataset, attacker_mode=config.attacker_mode)
 
     with open(report_path, "w", encoding="utf-8") as fh:
         sink = lambda report: write_record(fh, report.as_record())
         try:
-            model, reports = run_compression(run_config, datasets,
+            model, reports = run_compression(config, datasets,
                                              report_sink=sink,
                                              iteration_callback=checkpointer)
         except Exception as exc:  # partial report trail is already on disk
@@ -94,7 +93,7 @@ def cmd_run(args) -> int:
         write_record(fh, summary)
     save_checkpoint(out_dir / "checkpoint_final.bin", model,
                     iteration=reports[-1].iteration, seed=config.seed,
-                    dataset=config.dataset, attacker_mode=config.attacker_mode)
+                    dataset=dataset, attacker_mode=config.attacker_mode)
     print(f"selected={summary['final_selected']} "
           f"task_acc={summary['final_task_acc']:.4f} "
           f"mia_acc={summary['final_mia_acc']:.4f} "
@@ -105,6 +104,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack_eval(args) -> int:
+    if args.attacker_epochs < 0:
+        return _fail(f"--attacker-epochs must be >= 0, got "
+                     f"{args.attacker_epochs}", 2)
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError) as exc:
@@ -118,7 +120,8 @@ def cmd_attack_eval(args) -> int:
             descriptor = json.loads(Path(args.dataset).read_text())
         else:
             descriptor = ckpt.dataset
-        train_set, test_set = load_dataset(descriptor)
+        datasets = load_dataset(descriptor)
+        check_dataset_fits(ckpt.model.spec, datasets)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
 
@@ -128,7 +131,7 @@ def cmd_attack_eval(args) -> int:
     seq = RngTree(seed)
     rng_split = seq.next()  # first spawn: matches the run's split stream
     try:
-        splits = split_for_attack(train_set, test_set, rng_split)
+        splits = split_for_attack(*datasets, rng_split)
         examples, attack_eval = extract_examples(ckpt.model, splits, mode)
         attacker = build_attacker(mode, ckpt.model, seq.next())
         train_attacker(attacker, examples, epochs=args.attacker_epochs,

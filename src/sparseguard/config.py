@@ -1,42 +1,20 @@
-"""Experiment configuration: a JSON document that round-trips losslessly.
+"""Experiment configuration: a JSON document parsed straight into RunConfig.
 
-The document mirrors RunConfig and adds the dataset descriptor, the target
-architecture, and output plumbing. Unknown keys are rejected so typos fail
-fast; serialize(parse(text)) is a fixed point.
+The document holds RunConfig's fields, with `target` as a JSON object and
+`pairs` as a list of "prune:grow" tags, plus two keys of its own: the
+dataset descriptor `dataset` (required) and the output directory `out_dir`
+(default "runs"). Unknown keys are rejected so typos fail fast, every value
+must have its field's JSON type, and RunConfig range-checks the result.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import MISSING, field, fields, make_dataclass
+from dataclasses import MISSING, fields
 
 from .models import TargetSpec
 from .orchestrator import RunConfig
-from .sparse import ALL_PAIRS, StrategyPair
-
-DEFAULT_PAIR_TAGS = tuple(p.tag() for p in ALL_PAIRS)
-
-
-def _document_fields() -> list:
-    """RunConfig's fields as the document spells them (`target` as a JSON
-    object, `pairs` as strategy tags), plus the dataset descriptor and the
-    output directory. The required fields come out as omega, dataset,
-    target: the order in which a missing one is reported."""
-    out = []
-    for f in fields(RunConfig):
-        kind, default = f.type, f.default
-        if f.name == "target":
-            out.append(("dataset", dict))
-            kind = dict
-        elif f.name == "pairs":
-            kind, default = "tuple[str, ...]", DEFAULT_PAIR_TAGS
-        out.append((f.name, kind, field(default=default)))
-    return out + [("out_dir", str, field(default="runs"))]
-
-
-ExperimentConfig = make_dataclass("ExperimentConfig", _document_fields(),
-                                  frozen=True)
+from .sparse import StrategyPair
 
 # declared field type -> (accepted JSON value types, name in messages)
 _JSON_TYPES = {
@@ -46,6 +24,8 @@ _JSON_TYPES = {
     "str": ((str,), "a string"),
     "tuple": ((list,), "a list"),
     "dict": ((dict,), "an object"),
+    "TargetSpec": ((dict,), "an object"),
+    "StrategyPair": ((str,), "a string"),
 }
 
 
@@ -82,30 +62,31 @@ def check_document(cls, doc: dict, prefix: str = "") -> None:
             check_json_type(v, item, f"{prefix}field {name}[{i}]")
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str) -> tuple[RunConfig, dict, str]:
+    """The run settings, the dataset descriptor and the output directory
+    that a config document names."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    check_document(ExperimentConfig, doc)
-    return ExperimentConfig(**{
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in doc.items()})
+    settings = {k: v for k, v in doc.items() if k not in ("dataset", "out_dir")}
+    check_document(RunConfig, settings)
+    if "dataset" not in doc:
+        raise ValueError("missing field: dataset")
+    check_json_type(doc["dataset"], "dict", "field dataset")
+    out_dir = doc.get("out_dir", "runs")
+    check_json_type(out_dir, "str", "field out_dir")
+    settings = {k: tuple(v) if isinstance(v, list) else v
+                for k, v in settings.items()}
+    settings["target"] = target_spec_from(settings["target"])
+    if "pairs" in settings:
+        settings["pairs"] = tuple(parse_pair_tag(t) for t in settings["pairs"])
+    return RunConfig(**settings), doc["dataset"], out_dir
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    doc = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        doc[f.name] = value
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> tuple[RunConfig, dict, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
@@ -120,23 +101,3 @@ def parse_pair_tag(tag: str) -> StrategyPair:
 def target_spec_from(doc: dict) -> TargetSpec:
     check_document(TargetSpec, doc, "target ")
     return TargetSpec(**doc)
-
-
-def to_run_config(config: ExperimentConfig) -> RunConfig:
-    """Translate the parsed document into the orchestrator's RunConfig."""
-    values = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
-    values["target"] = target_spec_from(config.target)
-    values["pairs"] = tuple(parse_pair_tag(t) for t in config.pairs)
-    return RunConfig(**values)
-
-
-def with_overrides(config: ExperimentConfig, *, seed=None, deterministic=None,
-                   out_dir=None) -> ExperimentConfig:
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if deterministic is not None:
-        updates["deterministic"] = bool(deterministic)
-    if out_dir is not None:
-        updates["out_dir"] = str(out_dir)
-    return dataclasses.replace(config, **updates) if updates else config

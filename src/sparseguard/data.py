@@ -53,6 +53,14 @@ def _number(desc: dict, key: str, kind: type, default=None):
     return kind(value)
 
 
+def _string(desc: dict, key: str, default=None) -> str:
+    """desc[key], or default when absent, which must be a string."""
+    value = desc.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"dataset key {key} must be a string, got {value!r}")
+    return value
+
+
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
     # round-robin assignment, then shuffle so class order carries no signal
     y = np.arange(n, dtype=np.int64) % classes
@@ -166,6 +174,9 @@ def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
         rng = np.random.default_rng(_number(descriptor, "seed", int))
         sizes = {key: _number(descriptor, key, int)
                  for key in ("classes", "n_train", "n_test")}
+        if sizes["classes"] < 2:
+            raise ValueError(f"dataset key classes must be >= 2, got "
+                             f"{sizes['classes']}")
         if kind == "blobs":
             train, test = _make_blobs(
                 **sizes, dim=_number(descriptor, "dim", int, 2),
@@ -179,10 +190,10 @@ def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
     elif kind == "csv":
         _check_keys(descriptor, {"path"},
                     {"test_path", "test_fraction", "seed", "delimiter"})
-        delim = str(descriptor.get("delimiter", ","))
-        x, y = _parse_delimited(str(descriptor["path"]), delim)
+        delim = _string(descriptor, "delimiter", ",")
+        x, y = _parse_delimited(_string(descriptor, "path"), delim)
         if "test_path" in descriptor:
-            tx, ty = _parse_delimited(str(descriptor["test_path"]), delim)
+            tx, ty = _parse_delimited(_string(descriptor, "test_path"), delim)
             train, test = LabeledSet(x, y), LabeledSet(tx, ty)
         else:
             if "test_fraction" not in descriptor or "seed" not in descriptor:

@@ -46,7 +46,7 @@ class RunConfig:
 
     omega: float
     target: TargetSpec
-    pairs: tuple = ALL_PAIRS
+    pairs: tuple[StrategyPair, ...] = ALL_PAIRS
     inner_iterations: int = 4000
     batch_size: int = 128
     candidate_finetune_epochs: float = 1.0
@@ -295,8 +295,13 @@ def _validation_slice(known_test: LabeledSet, fraction: float,
 
 def check_dataset_fits(target: TargetSpec,
                        datasets: tuple[LabeledSet, LabeledSet]) -> None:
-    """Reject a dataset whose width or labels do not fit the target."""
+    """Reject a dataset whose width or labels do not fit the target, or
+    whose splits are too small to halve into known and unknown rows."""
     train_set, test_set = datasets
+    if min(len(train_set), len(test_set)) < 2:
+        raise ValueError(
+            f"each split needs at least 2 rows to halve, got "
+            f"{len(train_set)} training and {len(test_set)} test rows")
     if train_set.x.shape[1] != target.input_width:
         raise ValueError(
             f"dataset has {train_set.x.shape[1]} features but the target "

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from sparseguard import cli
-from sparseguard.checkpoint import MAGIC, _digest, save_checkpoint
+from sparseguard.checkpoint import (
+    MAGIC,
+    _digest,
+    load_checkpoint,
+    save_checkpoint,
+)
 from sparseguard.cli import build_parser, main
 from sparseguard.config import target_spec_from
 from sparseguard.models import build_target
@@ -130,6 +135,9 @@ def test_run_missing_config_file(tmp_path):
     ({"tau": -0.1, "pairs": ["threshold:gradient", "threshold:random"]},
      "tau must be >= 0, got -0.1"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], n_train=1)},
+     "each split needs at least 2 rows to halve, got 1 training and 64 test "
+     "rows"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -139,7 +147,7 @@ def test_run_missing_config_file(tmp_path):
         "negative attacker learning rate", "negative first attacker epochs",
         "negative top-up attacker epochs",
         "negative fine-tune attacker epochs", "negative lam", "negative tau",
-        "negative seed"])
+        "negative seed", "one training row"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -288,6 +296,48 @@ def test_attack_eval_overflowing_csv_column_exits_2(tmp_path, capsys):
     assert HUGE_COLUMN_MESSAGE in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"dim": 5}, "error: dataset has 5 features but the target expects 4\n"),
+    ({"classes": 4}, "error: dataset labels exceed the target class count\n"),
+], ids=["width", "labels"])
+def test_attack_eval_dataset_that_does_not_fit_exits_2(tmp_path, capsys,
+                                                       change, message):
+    descriptor = tmp_path / "dataset.json"
+    descriptor.write_text(json.dumps(dict(TOY_CONFIG["dataset"], **change)))
+    code = main(["attack-eval", "--checkpoint",
+                 str(_toy_checkpoint(tmp_path / "c.bin")),
+                 "--dataset", str(descriptor), "--attacker-epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+def test_attack_eval_negative_attacker_epochs_exits_2(tmp_path, capsys):
+    path = _toy_checkpoint(tmp_path / "c.bin")
+    code = main(["attack-eval", "--checkpoint", str(path),
+                 "--attacker-epochs", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: --attacker-epochs must be "
+                                       ">= 0, got -1\n")
+    assert main(["attack-eval", "--checkpoint", str(path),
+                 "--attacker-epochs", "0"]) == 0
+
+
+def test_run_one_row_csv_split_exits_2(tmp_path, capsys):
+    test_path = tmp_path / "test.csv"
+    test_path.write_text(TOY_CSV_ROWS[0] + "\n")
+    dataset = {"kind": "csv", "path": _toy_csv(tmp_path, TOY_CSV_ROWS)["path"],
+               "test_path": str(test_path)}
+    out_dir = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TOY_CONFIG, out_dir=str(out_dir),
+                                    dataset=dataset)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: each split needs at least 2 rows to halve, got 40 training "
+        "and 1 test rows\n")
+    assert not (out_dir / "report.jsonl").exists()
+
+
 # the overflow is the case under test; whether numpy also warns about it
 # inside matmul depends on the numpy version
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -303,12 +353,15 @@ def test_attack_eval_runtime_overflow_exits_1(tmp_path, capsys):
 
 def test_cli_overrides_seed_and_out_dir(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(TOY_CONFIG))
+    config_path.write_text(json.dumps(dict(TOY_CONFIG, deterministic=False)))
     out_dir = tmp_path / "elsewhere"
     code = main(["run", "--config", str(config_path), "--seed", "9",
-                 "--out-dir", str(out_dir)])
+                 "--deterministic", "--out-dir", str(out_dir)])
     assert code == 0
-    assert (out_dir / "report.jsonl").exists()
+    records = read_report(out_dir / "report.jsonl")
+    assert all(r["wall_time_s"] == 0.0
+               for r in records if not r.get("summary"))
+    assert load_checkpoint(out_dir / "checkpoint_final.bin").seed == 9
 
 
 def test_attack_eval_on_checkpoint(toy_run, capsys):

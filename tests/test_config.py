@@ -1,19 +1,11 @@
-"""Experiment-config document tests: parsing, validation, round-trip."""
+"""Experiment-config document tests: parsing and validation."""
 
 import json
 from dataclasses import fields
 
 import pytest
 
-from sparseguard.config import (
-    ExperimentConfig,
-    parse_config,
-    parse_pair_tag,
-    serialize_config,
-    target_spec_from,
-    to_run_config,
-    with_overrides,
-)
+from sparseguard.config import parse_config, parse_pair_tag, target_spec_from
 from sparseguard.models import TargetSpec
 from sparseguard.orchestrator import RunConfig
 from sparseguard.sparse import ALL_PAIRS, StrategyPair
@@ -28,12 +20,14 @@ MINIMAL = {
 
 
 def test_parse_minimal_uses_defaults():
-    cfg = parse_config(json.dumps(MINIMAL))
+    cfg, dataset, out_dir = parse_config(json.dumps(MINIMAL))
     assert cfg.omega == 0.1
     assert cfg.inner_iterations == 4000
     assert cfg.variant == "none"
-    assert cfg.pairs == tuple(p.tag() for p in ALL_PAIRS)
+    assert cfg.pairs == ALL_PAIRS
     assert cfg.deterministic is True
+    assert dataset == MINIMAL["dataset"]
+    assert out_dir == "runs"
 
 
 def test_missing_omega_message():
@@ -56,20 +50,10 @@ def test_not_json_rejected():
         parse_config("[1, 2]")
 
 
-def test_round_trip_is_fixed_point():
-    doc = dict(MINIMAL, total_epochs=25.0, variant="re2",
-               lr_milestones=[0.4, 0.8], seed=7, tau=0.01)
-    cfg = parse_config(json.dumps(doc))
-    text = serialize_config(cfg)
-    cfg2 = parse_config(text)
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == text
-
-
-def test_to_run_config_translation():
+def test_parse_translates_target_and_pairs():
     doc = dict(MINIMAL, variant="re1", inner_iterations=50,
                pairs=["magnitude:gradient", "threshold:random"])
-    run_cfg = to_run_config(parse_config(json.dumps(doc)))
+    run_cfg, _, _ = parse_config(json.dumps(doc))
     assert run_cfg.variant == "re1"
     assert run_cfg.inner_iterations == 50
     assert run_cfg.pairs == (StrategyPair("magnitude", "gradient"),
@@ -93,28 +77,81 @@ def test_target_spec_validation():
         target_spec_from({"kind": "mlp", "input_shape": [2]})
 
 
-def test_with_overrides():
-    cfg = parse_config(json.dumps(MINIMAL))
-    same = with_overrides(cfg)
-    assert same == cfg
-    changed = with_overrides(cfg, seed=9, deterministic=True, out_dir="x")
-    assert changed.seed == 9 and changed.out_dir == "x"
-    assert cfg.seed == 0
-
-
 def test_dataset_must_be_object():
     doc = dict(MINIMAL, dataset="blobs")
     with pytest.raises(ValueError, match="dataset must be an object"):
         parse_config(json.dumps(doc))
 
 
-def test_document_fields_are_run_config_fields_plus_plumbing():
-    document = [f.name for f in fields(ExperimentConfig)]
-    run = [f.name for f in fields(RunConfig)]
-    assert sorted(document) == sorted(run + ["dataset", "out_dir"])
+# a value for every RunConfig field, none of them its default
+EVERY_FIELD = {
+    "omega": 0.5,
+    "target": {"kind": "cnn", "input_shape": [1, 2, 2], "classes": 3,
+               "hidden": [5], "channels": [2, 3], "kernel": 2},
+    "pairs": ["threshold:random"],
+    "inner_iterations": 7,
+    "batch_size": 16,
+    "candidate_finetune_epochs": 0.5,
+    "total_epochs": 3.0,
+    "variant": "re2",
+    "beta": 0.3,
+    "lam": 2.0,
+    "learning_rate": 0.05,
+    "lr_milestones": [0.3],
+    "lr_decay": 0.5,
+    "attacker_mode": "whitebox",
+    "attacker_epochs_first": 9,
+    "attacker_epochs_topup": 3,
+    "attacker_finetune_epochs": 2,
+    "attacker_learning_rate": 0.01,
+    "prune_rate_start": 0.4,
+    "prune_rate_end": 0.05,
+    "tau": 0.02,
+    "validation_fraction": 0.3,
+    "probe_size": 64,
+    "early_stop": True,
+    "early_stop_delta": 0.01,
+    "early_stop_patience": 5,
+    "seed": 11,
+    "deterministic": False,
+}
+
+
+def test_every_run_config_field_parses_to_its_value():
+    doc = dict(EVERY_FIELD, dataset=MINIMAL["dataset"], out_dir="elsewhere")
+    cfg, dataset, out_dir = parse_config(json.dumps(doc))
+    assert set(EVERY_FIELD) == {f.name for f in fields(RunConfig)}
+    expected = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in EVERY_FIELD.items()}
+    expected["target"] = TargetSpec(kind="cnn", input_shape=(1, 2, 2),
+                                    classes=3, hidden=(5,), channels=(2, 3),
+                                    kernel=2)
+    expected["pairs"] = (StrategyPair("threshold", "random"),)
+    for name, value in expected.items():
+        assert value != getattr(RunConfig, name, None), name
+        assert getattr(cfg, name) == value, name
+    assert dataset == MINIMAL["dataset"]
+    assert out_dir == "elsewhere"
 
 
 def test_minimal_document_takes_every_run_default():
     expected = RunConfig(omega=0.1, target=TargetSpec(
         kind="mlp", input_shape=(2,), classes=4, hidden=(8, 8)))
-    assert to_run_config(parse_config(json.dumps(MINIMAL))) == expected
+    assert parse_config(json.dumps(MINIMAL))[0] == expected
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"out_dir": 3}, "^field out_dir must be a string$"),
+    ({"target": [2]}, "^field target must be an object$"),
+    ({"pairs": "magnitude:gradient"}, "^field pairs must be a list$"),
+], ids=["integer out_dir", "list target", "string pairs"])
+def test_object_string_and_list_keys_are_type_checked(change, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(json.dumps(dict(MINIMAL, **change)))
+
+
+def test_missing_dataset_message():
+    doc = {k: v for k, v in MINIMAL.items() if k != "dataset"}
+    with pytest.raises(ValueError, match="^missing field: dataset$"):
+        parse_config(json.dumps(doc))

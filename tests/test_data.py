@@ -88,6 +88,29 @@ def test_csv_wrongly_typed_split_values_rejected(tmp_path):
         load_dataset(dict(desc, test_fraction="0.2"))
 
 
+@pytest.mark.parametrize("kind", ["blobs", "spirals"])
+@pytest.mark.parametrize("classes", [0, 1, -2])
+def test_fewer_than_two_generated_classes_rejected(kind, classes):
+    with pytest.raises(ValueError, match=f"^dataset key classes must be "
+                                         f">= 2, got {classes}$"):
+        load_dataset(dict(BLOBS, kind=kind, classes=classes))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"path": 3}, "dataset key path must be a string, got 3"),
+    ({"test_path": ["x"]}, r"dataset key test_path must be a string, "
+                           r"got \['x'\]"),
+    ({"delimiter": 0}, "dataset key delimiter must be a string, got 0"),
+], ids=["integer path", "list test_path", "integer delimiter"])
+def test_csv_non_string_values_rejected(tmp_path, change, message):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i},{i % 2}\n" for i in range(10)))
+    desc = {"kind": "csv", "path": str(path), "test_path": str(path)}
+    load_dataset(desc)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(dict(desc, **change))
+
+
 def test_numeric_descriptor_values_accept_numpy_scalars():
     train, _ = load_dataset(dict(BLOBS, n_train=np.int64(30),
                                  cluster_std=np.float64(1.5)))
