@@ -3,24 +3,25 @@
 Layout: b"SFCMP1" | u32 little-endian header length | header JSON (UTF-8) |
 every parameter array as little-endian float64 in model.params() order |
 every mask as a little-bit-order packed bitset in masked_layers() order.
-Loading checks the recorded target spec like a config's and the other header
-fields by type, rebuilds the architecture from the spec, and restores finite
-weights bit-exactly and masks exactly.
+The header is declared once, as `Header`: saving writes its fields, and
+loading checks the parsed header against them (`document.check_document`)
+and the recorded target spec like a config's, rebuilds the architecture
+from the spec, and restores finite weights bit-exactly and masks exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attack import MODES
-from .config import check_json_type, target_spec_from
+from .config import target_spec_from
+from .document import check_document
 from .models import SparseModel, build_target
 from .sparse import active_count
 
@@ -28,15 +29,35 @@ MAGIC = b"SFCMP1"
 VERSION = 1
 
 
-@dataclass
-class Checkpoint:
-    model: SparseModel
+@dataclass(frozen=True)
+class Header:
+    """Every field of a checkpoint's JSON header. The digest covers only
+    `target` and `omega`; the shapes and the active count are checked
+    against the payload."""
+
+    version: int
+    target: dict
     omega: float
+    epsilon: float
     iteration: int
     seed: int
     dataset: dict
-    attacker_mode: str
+    attacker_mode: str = field(metadata={"choices": MODES})
+    active_count: int
+    param_shapes: list
+    mask_shapes: list
     spec_digest: str
+
+    def __post_init__(self):
+        for key in ("iteration", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"checkpoint field {key} must be >= 0")
+
+
+@dataclass
+class Checkpoint:
+    model: SparseModel
+    header: Header
 
 
 def _digest(spec_doc: dict, omega: float) -> str:
@@ -51,21 +72,15 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
     params = model.params()
     masks = [layer.mask for layer in model.masked_layers()]
     omega = float(model.omega)
-    header = {
-        "version": VERSION,
-        "target": spec_doc,
-        "omega": omega,
-        "epsilon": float(model.epsilon),
-        "iteration": int(iteration),
-        "seed": int(seed),
-        "dataset": dataset,
-        "attacker_mode": attacker_mode,
-        "active_count": active_count(model),
-        "param_shapes": [list(p.data.shape) for p in params],
-        "mask_shapes": [list(m.shape) for m in masks],
-        "spec_digest": _digest(spec_doc, omega),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = Header(
+        version=VERSION, target=spec_doc, omega=omega,
+        epsilon=float(model.epsilon), iteration=int(iteration),
+        seed=int(seed), dataset=dataset, attacker_mode=attacker_mode,
+        active_count=active_count(model),
+        param_shapes=[list(p.data.shape) for p in params],
+        mask_shapes=[list(m.shape) for m in masks],
+        spec_digest=_digest(spec_doc, omega))
+    blob = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
     # write a sibling and rename it over the target, so a crash mid-write
     # leaves the previous checkpoint intact
     tmp = f"{os.fspath(path)}.tmp"
@@ -86,23 +101,6 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
             os.remove(tmp)
 
 
-def _check_header(header: dict) -> None:
-    """Check the header's fields other than the target spec by type, as a
-    run writes them; the digest does not cover most of them."""
-    for key in ("omega", "epsilon"):
-        check_json_type(header[key], "float", f"checkpoint field {key}")
-        if not math.isfinite(header[key]):
-            raise ValueError(f"checkpoint field {key} must be finite")
-    for key in ("iteration", "seed"):
-        check_json_type(header[key], "int", f"checkpoint field {key}")
-        if header[key] < 0:
-            raise ValueError(f"checkpoint field {key} must be >= 0")
-    if header["attacker_mode"] not in MODES:
-        raise ValueError(f"checkpoint field attacker_mode must be one of "
-                         f"{MODES}")
-    check_json_type(header["dataset"], "dict", "checkpoint field dataset")
-
-
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -116,19 +114,21 @@ def load_checkpoint(path) -> Checkpoint:
         if magic != MAGIC:
             raise ValueError("not a checkpoint file (bad magic)")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        if header.get("version") != VERSION:
+        doc = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("checkpoint header must be a JSON object")
+        if doc.get("version") != VERSION:
             raise ValueError(f"unsupported checkpoint version: "
-                             f"{header.get('version')}")
-        spec_doc = header["target"]
-        if header["spec_digest"] != _digest(spec_doc, header["omega"]):
+                             f"{doc.get('version')}")
+        check_document(Header, doc, "checkpoint ")
+        if doc["spec_digest"] != _digest(doc["target"], doc["omega"]):
             raise ValueError("checkpoint header digest mismatch")
-        _check_header(header)
-        spec = target_spec_from(spec_doc)
+        header = Header(**doc)
+        spec = target_spec_from(header.target)
         # build at full density (always feasible), then overwrite everything
         model = build_target(spec, 1.0, np.random.default_rng(0))
         params = model.params()
-        if [list(p.data.shape) for p in params] != header["param_shapes"]:
+        if [list(p.data.shape) for p in params] != header.param_shapes:
             raise ValueError("checkpoint/spec mismatch: parameter shapes differ")
         for p in params:
             raw = _read_exact(fh, p.data.size * 8, "weights")
@@ -136,7 +136,7 @@ def load_checkpoint(path) -> Checkpoint:
             if not np.all(np.isfinite(p.data)):
                 raise ValueError("checkpoint holds non-finite weights")
         layers = model.masked_layers()
-        if [list(l.mask.shape) for l in layers] != header["mask_shapes"]:
+        if [list(l.mask.shape) for l in layers] != header.mask_shapes:
             raise ValueError("checkpoint/spec mismatch: mask shapes differ")
         total_active = 0
         for layer in layers:
@@ -148,12 +148,8 @@ def load_checkpoint(path) -> Checkpoint:
             total_active += int(bits.sum())
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    if total_active != header["active_count"]:
+    if total_active != header.active_count:
         raise ValueError("mask popcount does not match recorded active count")
-    model.omega = float(header["omega"])
-    model.epsilon = float(header["epsilon"])
-    return Checkpoint(model=model, omega=float(header["omega"]),
-                      iteration=header["iteration"],
-                      seed=header["seed"], dataset=header["dataset"],
-                      attacker_mode=header["attacker_mode"],
-                      spec_digest=header["spec_digest"])
+    model.omega = float(header.omega)
+    model.epsilon = float(header.epsilon)
+    return Checkpoint(model=model, header=header)

@@ -109,23 +109,24 @@ def cmd_attack_eval(args) -> int:
                      f"{args.attacker_epochs}", 2)
     try:
         ckpt = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
-    if args.mode is not None and args.mode != ckpt.attacker_mode:
+    header = ckpt.header
+    if args.mode is not None and args.mode != header.attacker_mode:
         return _fail(f"mode mismatch: checkpoint records "
-                     f"{ckpt.attacker_mode!r}, requested {args.mode!r}", 2)
-    mode = args.mode or ckpt.attacker_mode
+                     f"{header.attacker_mode!r}, requested {args.mode!r}", 2)
+    mode = args.mode or header.attacker_mode
     try:
         if args.dataset is not None:
             descriptor = json.loads(Path(args.dataset).read_text())
         else:
-            descriptor = ckpt.dataset
+            descriptor = header.dataset
         datasets = load_dataset(descriptor)
         check_dataset_fits(ckpt.model.spec, datasets)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
 
-    seed = ckpt.seed if args.seed is None else args.seed
+    seed = header.seed if args.seed is None else args.seed
     if seed < 0:
         return _fail(f"seed must be >= 0, got {seed}", 2)
     seq = RngTree(seed)
@@ -173,13 +174,14 @@ def cmd_gradcheck(_args) -> int:
 def cmd_report(args) -> int:
     try:
         records = read_report(args.path)
+        if not records:
+            return _fail("report stream is empty", 1)
+        table = pretty_table(records)
     except OSError as exc:
         return _fail(str(exc), 2)
     except ValueError as exc:
         return _fail(str(exc), 1)
-    if not records:
-        return _fail("report stream is empty", 1)
-    print(pretty_table(records))
+    print(table)
     return 0
 
 

@@ -4,62 +4,18 @@ The document holds RunConfig's fields, with `target` as a JSON object and
 `pairs` as a list of "prune:grow" tags, plus two keys of its own: the
 dataset descriptor `dataset` (required) and the output directory `out_dir`
 (default "runs"). Unknown keys are rejected so typos fail fast, every value
-must have its field's JSON type, and RunConfig range-checks the result.
+must have its field's JSON type (`document.check_document`), and RunConfig
+range-checks the result.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 
+from .document import check_document, check_json_type
 from .models import TargetSpec
 from .orchestrator import RunConfig
 from .sparse import StrategyPair
-
-# declared field type -> (accepted JSON value types, name in messages)
-_JSON_TYPES = {
-    "bool": ((bool,), "a boolean"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "tuple": ((list,), "a list"),
-    "dict": ((dict,), "an object"),
-    "TargetSpec": ((dict,), "an object"),
-    "StrategyPair": ((str,), "a string"),
-}
-
-
-def check_json_type(value, kind: str, what: str) -> None:
-    accepted, noun = _JSON_TYPES[kind]
-    if (isinstance(value, bool) and bool not in accepted
-            or not isinstance(value, accepted)):
-        raise ValueError(f"{what} must be {noun}")
-
-
-def check_document(cls, doc: dict, prefix: str = "") -> None:
-    """Check a JSON object against a dataclass's fields: every key must be a
-    field, every field without a default must be present, and every value
-    must have the JSON type of its declared field type; the items of a
-    `tuple[T, ...]` field must have T's. A bool is not a number, and a float
-    is not an integer."""
-    declared = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in declared:
-            raise ValueError(f"unknown {prefix}field: {key}")
-    for name, f in declared.items():
-        if name not in doc:
-            if f.default is MISSING:
-                raise ValueError(f"missing {prefix}field: {name}")
-            continue
-        value = doc[name]
-        kind = f.type if isinstance(f.type, str) else f.type.__name__
-        if value is None and kind.endswith(" | None"):
-            continue
-        kind, _, item = (kind.removesuffix(" | None").removesuffix(", ...]")
-                         .partition("["))
-        check_json_type(value, kind, f"{prefix}field {name}")
-        for i, v in enumerate(value if item else ()):
-            check_json_type(v, item, f"{prefix}field {name}[{i}]")
 
 
 def parse_config(text: str) -> tuple[RunConfig, dict, str]:

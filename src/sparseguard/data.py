@@ -1,16 +1,20 @@
 """Dataset construction: synthetic generators and delimited-text loading.
 
-Every loader returns a (train, test) pair of LabeledSet already standardized
+A dataset descriptor is a JSON object whose `kind` picks one of the
+declared descriptor classes below; its other keys are that class's fields,
+checked by `document.check_document` and range-checked by the class. Every
+loader returns a (train, test) pair of LabeledSet already standardized
 feature-wise using statistics computed on the training split only.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .document import check_document
 
 
 @dataclass
@@ -32,33 +36,71 @@ class LabeledSet:
         return self.x.shape[0]
 
 
-def _check_keys(desc: dict, required: set, optional: set):
-    keys = set(desc)
-    missing = required - keys
-    if missing:
-        raise ValueError(f"missing dataset key: {sorted(missing)[0]}")
-    extra = keys - required - optional - {"kind"}
-    if extra:
-        raise ValueError(f"unknown dataset key: {sorted(extra)[0]}")
+@dataclass(frozen=True)
+class Blobs:
+    """Descriptor of kind "blobs": one Gaussian cluster per class around a
+    random center."""
+
+    classes: int
+    n_train: int
+    n_test: int
+    seed: int
+    dim: int = 2
+    center_spread: float = 3.0
+    cluster_std: float = 1.0
+
+    def __post_init__(self):
+        _at_least(self, classes=2, n_train=1, n_test=1, seed=0, dim=1,
+                  center_spread=0, cluster_std=0)
 
 
-def _number(desc: dict, key: str, kind: type, default=None):
-    """desc[key], or default when absent, as kind (int or float). A bool is
-    not a number, and a float is not an integer."""
-    value = desc.get(key, default)
-    accepted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"dataset key {key} must be {noun}, got {value!r}")
-    return kind(value)
+@dataclass(frozen=True)
+class Spirals:
+    """Descriptor of kind "spirals": one noisy 2-d spiral arm per class."""
+
+    classes: int
+    n_train: int
+    n_test: int
+    seed: int
+    noise: float = 0.1
+    turns: float = 1.5
+
+    def __post_init__(self):
+        _at_least(self, classes=2, n_train=1, n_test=1, seed=0, noise=0)
 
 
-def _string(desc: dict, key: str, default=None) -> str:
-    """desc[key], or default when absent, which must be a string."""
-    value = desc.get(key, default)
-    if not isinstance(value, str):
-        raise ValueError(f"dataset key {key} must be a string, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class Csv:
+    """Descriptor of kind "csv": delimited text, last column the integer
+    label, optional header row. The test split is a second file, or a
+    seeded fraction of the first."""
+
+    path: str
+    test_path: str | None = None
+    test_fraction: float | None = None
+    seed: int | None = None
+    delimiter: str = ","
+
+    def __post_init__(self):
+        if not self.delimiter:
+            raise ValueError("dataset field delimiter must not be empty")
+        if self.seed is not None:
+            _at_least(self, seed=0)
+        if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"dataset field test_fraction must be in (0, 1), "
+                             f"got {self.test_fraction}")
+        if self.test_path is None and (self.test_fraction is None
+                                       or self.seed is None):
+            raise ValueError(
+                "csv descriptor needs test_path, or test_fraction and seed")
+
+
+def _at_least(desc, **bounds) -> None:
+    for name, low in bounds.items():
+        value = getattr(desc, name)
+        if value < low:
+            raise ValueError(f"dataset field {name} must be >= {low}, "
+                             f"got {value}")
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,28 +110,27 @@ def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarr
     return y
 
 
-def _make_blobs(classes: int, n_train: int, n_test: int, dim: int,
-                center_spread: float, cluster_std: float,
-                rng: np.random.Generator) -> tuple[LabeledSet, LabeledSet]:
-    centers = rng.normal(0.0, center_spread, size=(classes, dim))
+def _make_blobs(d: Blobs) -> tuple[LabeledSet, LabeledSet]:
+    rng = np.random.default_rng(d.seed)
+    centers = rng.normal(0.0, d.center_spread, size=(d.classes, d.dim))
     sets = []
-    for n in (n_train, n_test):
-        y = _balanced_labels(n, classes, rng)
-        x = centers[y] + rng.normal(0.0, cluster_std, size=(n, dim))
+    for n in (d.n_train, d.n_test):
+        y = _balanced_labels(n, d.classes, rng)
+        x = centers[y] + rng.normal(0.0, d.cluster_std, size=(n, d.dim))
         sets.append(LabeledSet(x, y))
     return sets[0], sets[1]
 
 
-def _make_spirals(classes: int, n_train: int, n_test: int, noise: float,
-                  turns: float, rng: np.random.Generator) -> tuple[LabeledSet, LabeledSet]:
+def _make_spirals(d: Spirals) -> tuple[LabeledSet, LabeledSet]:
+    rng = np.random.default_rng(d.seed)
     sets = []
-    for n in (n_train, n_test):
-        y = _balanced_labels(n, classes, rng)
+    for n in (d.n_train, d.n_test):
+        y = _balanced_labels(n, d.classes, rng)
         t = rng.uniform(0.15, 1.0, size=n)
-        theta = t * turns * 2.0 * np.pi + y * (2.0 * np.pi / classes)
+        theta = t * d.turns * 2.0 * np.pi + y * (2.0 * np.pi / d.classes)
         r = t
         x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        x += rng.normal(0.0, noise, size=x.shape)
+        x += rng.normal(0.0, d.noise, size=x.shape)
         sets.append(LabeledSet(x, y))
     return sets[0], sets[1]
 
@@ -158,58 +199,39 @@ def _standardize(train: LabeledSet, test: LabeledSet) -> tuple[LabeledSet, Label
     return LabeledSet(train_x, train.y), LabeledSet(test_x, test.y)
 
 
-def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
-    """Build the (train, test) pair named by a descriptor dictionary.
+def _load_csv(d: Csv) -> tuple[LabeledSet, LabeledSet]:
+    x, y = _parse_delimited(d.path, d.delimiter)
+    if d.test_path is not None:
+        tx, ty = _parse_delimited(d.test_path, d.delimiter)
+        return LabeledSet(x, y), LabeledSet(tx, ty)
+    perm = np.random.default_rng(d.seed).permutation(len(y))
+    n_test = int(np.floor(d.test_fraction * len(y)))
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    return (LabeledSet(x[train_idx], y[train_idx]),
+            LabeledSet(x[test_idx], y[test_idx]))
 
-    Supported kinds: "blobs" and "spirals" (seeded synthetic generators) and
-    "csv" (delimited text, last column = integer label, optional header).
-    """
+
+# descriptor kind -> (its declared fields, the loader that takes them)
+_KINDS = {
+    "blobs": (Blobs, _make_blobs),
+    "spirals": (Spirals, _make_spirals),
+    "csv": (Csv, _load_csv),
+}
+
+
+def load_dataset(descriptor: dict) -> tuple[LabeledSet, LabeledSet]:
+    """Build the (train, test) pair named by a descriptor dictionary: its
+    `kind` names one of the descriptor classes above, and its other keys
+    are that class's fields."""
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise ValueError("dataset descriptor must be a dict with a 'kind' key")
     kind = descriptor["kind"]
-    if kind in ("blobs", "spirals"):
-        _check_keys(descriptor, {"classes", "n_train", "n_test", "seed"},
-                    {"dim", "center_spread", "cluster_std"} if kind == "blobs"
-                    else {"noise", "turns"})
-        rng = np.random.default_rng(_number(descriptor, "seed", int))
-        sizes = {key: _number(descriptor, key, int)
-                 for key in ("classes", "n_train", "n_test")}
-        if sizes["classes"] < 2:
-            raise ValueError(f"dataset key classes must be >= 2, got "
-                             f"{sizes['classes']}")
-        if kind == "blobs":
-            train, test = _make_blobs(
-                **sizes, dim=_number(descriptor, "dim", int, 2),
-                center_spread=_number(descriptor, "center_spread", float, 3.0),
-                cluster_std=_number(descriptor, "cluster_std", float, 1.0),
-                rng=rng)
-        else:
-            train, test = _make_spirals(
-                **sizes, noise=_number(descriptor, "noise", float, 0.1),
-                turns=_number(descriptor, "turns", float, 1.5), rng=rng)
-    elif kind == "csv":
-        _check_keys(descriptor, {"path"},
-                    {"test_path", "test_fraction", "seed", "delimiter"})
-        delim = _string(descriptor, "delimiter", ",")
-        x, y = _parse_delimited(_string(descriptor, "path"), delim)
-        if "test_path" in descriptor:
-            tx, ty = _parse_delimited(_string(descriptor, "test_path"), delim)
-            train, test = LabeledSet(x, y), LabeledSet(tx, ty)
-        else:
-            if "test_fraction" not in descriptor or "seed" not in descriptor:
-                raise ValueError(
-                    "csv descriptor needs test_path, or test_fraction and seed")
-            frac = _number(descriptor, "test_fraction", float)
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"test_fraction must be in (0, 1), got {frac}")
-            rng = np.random.default_rng(_number(descriptor, "seed", int))
-            perm = rng.permutation(len(y))
-            n_test = int(np.floor(frac * len(y)))
-            test_idx, train_idx = perm[:n_test], perm[n_test:]
-            train = LabeledSet(x[train_idx], y[train_idx])
-            test = LabeledSet(x[test_idx], y[test_idx])
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown dataset kind: {kind!r}")
+    cls, load = _KINDS[kind]
+    doc = {k: v for k, v in descriptor.items() if k != "kind"}
+    check_document(cls, doc, "dataset ")
+    train, test = load(cls(**doc))
     if len(train) == 0 or len(test) == 0:
         raise ValueError("both train and test splits must be non-empty")
     classes = int(max(train.y.max(), test.y.max())) + 1

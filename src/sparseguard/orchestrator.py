@@ -30,6 +30,7 @@ from .metrics import VARIANTS, task_accuracy, tm_score, training_loss
 from .models import TargetSpec, build_attacker, build_target
 from .numcore import Tape
 from .numcore.optim import sgd_step
+from .report import CandidateScore, IterationReport
 from .sparse import (
     ALL_PAIRS,
     DegenerateUpdateError,
@@ -129,51 +130,6 @@ class RunConfig:
         for p in self.pairs:
             if not isinstance(p, StrategyPair):
                 raise ValueError("pairs must contain StrategyPair entries")
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    pair: StrategyPair
-    task_acc: float
-    mia_acc: float
-    tm_score: float
-    mia_gain: float
-
-
-@dataclass(frozen=True)
-class IterationReport:
-    iteration: int
-    candidates: tuple
-    selected: StrategyPair
-    cumulative_epochs: float
-    wall_time_s: float
-    active_weights: int
-    prune_rate: float
-    tau: float
-    notes: tuple = ()
-
-    def as_record(self) -> dict:
-        """Plain-JSON form: strategy pairs flattened to their tags."""
-        return {
-            "iteration": self.iteration,
-            "selected": self.selected.tag(),
-            "cumulative_epochs": self.cumulative_epochs,
-            "wall_time_s": self.wall_time_s,
-            "active_weights": self.active_weights,
-            "prune_rate": self.prune_rate,
-            "tau": self.tau,
-            "notes": list(self.notes),
-            "candidates": [
-                {
-                    "pair": c.pair.tag(),
-                    "task_acc": c.task_acc,
-                    "mia_acc": c.mia_acc,
-                    "tm_score": c.tm_score,
-                    "mia_gain": c.mia_gain,
-                }
-                for c in self.candidates
-            ],
-        }
 
 
 class RngTree:

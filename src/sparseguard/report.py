@@ -1,13 +1,61 @@
 """Report stream: one JSON object per line, crash-safe, append-only.
 
-A run writes one line per outer iteration plus a final summary line carrying
-the TM-score trajectory. Reading tolerates a truncated final line (a crash
-mid-write loses at most that line) but rejects corruption anywhere else.
+A run writes one line per outer iteration (`IterationReport.as_record`) plus
+a final summary line (`Summary`) carrying the TM-score trajectory. Reading
+checks every line against its declared record (`document.check_document`)
+and tolerates a truncated final line (a crash mid-write loses at most that
+line), but rejects corruption anywhere else.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
+
+from .document import check_document
+from .sparse import StrategyPair
+
+
+@dataclass(frozen=True)
+class CandidateScore:
+    pair: StrategyPair
+    task_acc: float
+    mia_acc: float
+    tm_score: float
+    mia_gain: float
+
+
+@dataclass(frozen=True)
+class IterationReport:
+    iteration: int
+    candidates: tuple
+    selected: StrategyPair
+    cumulative_epochs: float
+    wall_time_s: float
+    active_weights: int
+    prune_rate: float
+    tau: float
+    notes: tuple = ()
+
+    def as_record(self) -> dict:
+        """Plain-JSON form: strategy pairs flattened to their tags."""
+        record = asdict(self)
+        record["selected"] = self.selected.tag()
+        for cand, score in zip(record["candidates"], self.candidates):
+            cand["pair"] = score.pair.tag()
+        return record
+
+
+@dataclass(frozen=True)
+class Summary:
+    summary: bool
+    iterations: int
+    tm_trajectory: list[float]
+    final_selected: str
+    final_task_acc: float
+    final_mia_acc: float
+    final_tm_score: float
+    total_epochs: float
 
 
 def write_record(fh, record: dict) -> None:
@@ -24,12 +72,30 @@ def read_report(path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if i == last:
                 break  # torn final line from an interrupted write
             raise ValueError(f"malformed report line {i + 1}") from None
+        try:
+            _check_record(record)
+        except ValueError as exc:
+            raise ValueError(f"malformed report line {i + 1}: {exc}") from None
+        records.append(record)
     return records
+
+
+def _check_record(record) -> None:
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    if record.get("summary"):
+        check_document(Summary, record)
+        return
+    check_document(IterationReport, record)
+    for i, cand in enumerate(record["candidates"]):
+        if not isinstance(cand, dict):
+            raise ValueError(f"field candidates[{i}] must be an object")
+        check_document(CandidateScore, cand, f"candidates[{i}] ")
 
 
 def _selected_scores(record: dict) -> dict:
@@ -47,16 +113,13 @@ def summary_record(records: list[dict]) -> dict:
         raise ValueError("cannot summarize an empty report trail")
     chosen = [_selected_scores(r) for r in records]
     final = chosen[-1]
-    return {
-        "summary": True,
-        "iterations": len(records),
-        "tm_trajectory": [c["tm_score"] for c in chosen],
-        "final_selected": records[-1]["selected"],
-        "final_task_acc": final["task_acc"],
-        "final_mia_acc": final["mia_acc"],
-        "final_tm_score": final["tm_score"],
-        "total_epochs": records[-1]["cumulative_epochs"],
-    }
+    return asdict(Summary(
+        summary=True, iterations=len(records),
+        tm_trajectory=[c["tm_score"] for c in chosen],
+        final_selected=records[-1]["selected"],
+        final_task_acc=final["task_acc"], final_mia_acc=final["mia_acc"],
+        final_tm_score=final["tm_score"],
+        total_epochs=records[-1]["cumulative_epochs"]))
 
 
 def pretty_table(records: list[dict]) -> str:

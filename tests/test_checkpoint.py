@@ -42,10 +42,10 @@ def test_round_trip_bit_exact_many_models(tmp_path):
         save_checkpoint(path, model, iteration=trial, seed=trial * 3,
                         dataset=DESC, attacker_mode="blackbox")
         loaded = load_checkpoint(path)
-        assert loaded.iteration == trial
-        assert loaded.seed == trial * 3
-        assert loaded.dataset == DESC
-        assert loaded.attacker_mode == "blackbox"
+        assert loaded.header.iteration == trial
+        assert loaded.header.seed == trial * 3
+        assert loaded.header.dataset == DESC
+        assert loaded.header.attacker_mode == "blackbox"
         for a, b in zip(model.params(), loaded.model.params()):
             assert a.data.tobytes() == b.data.tobytes()
         for la, lb in zip(model.masked_layers(), loaded.model.masked_layers()):
@@ -129,7 +129,7 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
                         attacker_mode="blackbox")
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert load_checkpoint(path).iteration == 1
+    assert load_checkpoint(path).header.iteration == 1
     assert os.listdir(tmp_path) == ["m.bin"]
 
 
@@ -189,6 +189,11 @@ def test_non_finite_weight_rejected(tmp_path, value):
     ("attacker_mode", None, "checkpoint field attacker_mode must be one of"),
     ("dataset", None, "checkpoint field dataset must be an object"),
     ("dataset", ["blobs"], "checkpoint field dataset must be an object"),
+    ("omega", float("inf"), "checkpoint field omega must be finite"),
+    ("target", [4], "checkpoint field target must be an object"),
+    ("param_shapes", 5, "checkpoint field param_shapes must be a list"),
+    ("active_count", "7", "checkpoint field active_count must be an integer"),
+    ("note", "extra", "unknown checkpoint field: note"),
 ])
 def test_malformed_header_field_rejected(tmp_path, key, value, message):
     model = random_model(np.random.default_rng(9))
@@ -199,3 +204,32 @@ def test_malformed_header_field_rejected(tmp_path, key, value, message):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert message in str(info.value)
+
+
+def _rewrite_header(path, edit):
+    """Replace a saved checkpoint's header with edit(header), unsigned."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+    text = json.dumps(edit(json.loads(blob[start:start + length]))).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text
+                     + blob[start + length:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {k: v for k, v in h.items() if k != "omega"},
+     "missing checkpoint field: omega"),
+    (lambda h: {k: v for k, v in h.items() if k != "spec_digest"},
+     "missing checkpoint field: spec_digest"),
+    (lambda h: [h], "checkpoint header must be a JSON object"),
+    (lambda h: "header", "checkpoint header must be a JSON object"),
+], ids=["missing omega", "missing digest", "list header", "string header"])
+def test_header_not_as_declared_rejected(tmp_path, edit, message):
+    model = random_model(np.random.default_rng(10))
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == message

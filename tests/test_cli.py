@@ -115,7 +115,7 @@ def test_run_missing_config_file(tmp_path):
     ({"target": dict(TOY_CONFIG["target"], input_shape=["4"])},
      "target field input_shape[0] must be an integer"),
     ({"dataset": dict(TOY_CONFIG["dataset"], n_train=128.7)},
-     "dataset key n_train must be an integer"),
+     "dataset field n_train must be an integer"),
     ({"beta": -0.1}, "beta must be >= 0, got -0.1"),
     ({"learning_rate": 0}, "learning_rate must be > 0, got 0"),
     ({"lr_decay": 1.5}, "lr_decay must be in (0, 1), got 1.5"),
@@ -138,6 +138,18 @@ def test_run_missing_config_file(tmp_path):
     ({"dataset": dict(TOY_CONFIG["dataset"], n_train=1)},
      "each split needs at least 2 rows to halve, got 1 training and 64 test "
      "rows"),
+    ({"lam": float("nan")}, "field lam must be finite"),
+    ({"total_epochs": float("inf")}, "field total_epochs must be finite"),
+    ({"beta": float("nan")}, "field beta must be finite"),
+    ({"learning_rate": float("inf")}, "field learning_rate must be finite"),
+    ({"early_stop_delta": float("nan")},
+     "field early_stop_delta must be finite"),
+    ({"lr_milestones": [0.5, float("nan")]},
+     "field lr_milestones[1] must be finite"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], n_train=-5)},
+     "dataset field n_train must be >= 1, got -5"),
+    ({"dataset": dict(TOY_CONFIG["dataset"], cluster_std=float("nan"))},
+     "dataset field cluster_std must be finite"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -147,7 +159,9 @@ def test_run_missing_config_file(tmp_path):
         "negative attacker learning rate", "negative first attacker epochs",
         "negative top-up attacker epochs",
         "negative fine-tune attacker epochs", "negative lam", "negative tau",
-        "negative seed", "one training row"])
+        "negative seed", "one training row", "nan lam", "infinite epochs",
+        "nan beta", "infinite learning rate", "nan early-stop delta",
+        "nan milestone", "negative dataset count", "nan dataset std"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -267,8 +281,14 @@ def _toy_checkpoint(path, weight=None, target_change=None,
      "checkpoint field iteration must be an integer"),
     ({"header_change": {"attacker_mode": "greybox"}},
      "checkpoint field attacker_mode must be one of"),
+    ({"header_change": {"target": [4]}},
+     "checkpoint field target must be an object"),
+    ({"header_change": {"note": "extra"}}, "unknown checkpoint field: note"),
+    ({"header_change": {"omega": float("nan")}},
+     "checkpoint field omega must be finite"),
 ], ids=["unknown target key", "string classes", "nan weight", "null epsilon",
-        "null iteration", "unknown attacker mode"])
+        "null iteration", "unknown attacker mode", "list target",
+        "unknown header key", "nan omega"])
 def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                                                   message):
     path = _toy_checkpoint(tmp_path / "c.bin", **edits)
@@ -276,6 +296,25 @@ def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                  "--attacker-epochs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {k: v for k, v in h.items() if k != "omega"},
+     "error: missing checkpoint field: omega\n"),
+    (lambda h: [h], "error: checkpoint header must be a JSON object\n"),
+], ids=["missing omega", "list header"])
+def test_attack_eval_header_not_as_declared_exits_2(tmp_path, capsys, edit,
+                                                    message):
+    path = _toy_checkpoint(tmp_path / "c.bin")
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC):start])
+    text = json.dumps(edit(json.loads(blob[start:start + length]))).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text
+                     + blob[start + length:])
+    assert main(["attack-eval", "--checkpoint", str(path),
+                 "--attacker-epochs", "1"]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_attack_eval_negative_seed_exits_2(tmp_path, capsys):
@@ -361,7 +400,7 @@ def test_cli_overrides_seed_and_out_dir(tmp_path):
     records = read_report(out_dir / "report.jsonl")
     assert all(r["wall_time_s"] == 0.0
                for r in records if not r.get("summary"))
-    assert load_checkpoint(out_dir / "checkpoint_final.bin").seed == 9
+    assert load_checkpoint(out_dir / "checkpoint_final.bin").header.seed == 9
 
 
 def test_attack_eval_on_checkpoint(toy_run, capsys):
@@ -390,6 +429,42 @@ def test_attack_eval_mode_mismatch(toy_run, capsys):
                  "--mode", "whitebox"])
     assert code == 2
     assert "mode mismatch" in capsys.readouterr().err
+
+
+def _report_line(change):
+    record = {"iteration": 1, "selected": "magnitude:gradient",
+              "cumulative_epochs": 1.0, "wall_time_s": 0.0,
+              "active_weights": 10, "prune_rate": 0.2, "tau": 0.01,
+              "notes": [],
+              "candidates": [{"pair": "magnitude:gradient", "task_acc": 0.9,
+                              "mia_acc": 0.5, "tm_score": 1.8,
+                              "mia_gain": -3.0}]}
+    return json.dumps(change(record))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "malformed report line 2: not a JSON object"),
+    ('"text"', "malformed report line 2: not a JSON object"),
+    (_report_line(lambda r: {k: v for k, v in r.items()
+                             if k != "candidates"}),
+     "malformed report line 2: missing field: candidates"),
+    (_report_line(lambda r: dict(r, candidates=[{
+        k: v for k, v in r["candidates"][0].items() if k != "task_acc"}])),
+     "malformed report line 2: missing candidates[0] field: task_acc"),
+    (_report_line(lambda r: dict(r, candidates=[3])),
+     "malformed report line 2: field candidates[0] must be an object"),
+    ('{"summary": true, "final_tm_score": 1.0}',
+     "malformed report line 2: missing field: iterations"),
+    (_report_line(lambda r: dict(r, selected="threshold:random")),
+     "report line 1: selected pair missing from candidates"),
+], ids=["list", "string", "no candidates", "no task_acc",
+        "number candidate", "no iterations", "selected not a candidate"])
+def test_report_malformed_line_exits_1(tmp_path, capsys, line, message):
+    path = tmp_path / "report.jsonl"
+    path.write_text(_report_line(lambda r: r) + "\n" + line + "\n"
+                    + _report_line(lambda r: r) + "\n")
+    assert main(["report", "--path", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_gradcheck_command(capsys):

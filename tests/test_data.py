@@ -62,14 +62,14 @@ BLOBS = {"kind": "blobs", "classes": 3, "n_train": 30, "n_test": 12,
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"n_train": 128.7}, "dataset key n_train must be an integer"),
-    ({"seed": True}, "dataset key seed must be an integer"),
-    ({"classes": 3.0}, "dataset key classes must be an integer"),
-    ({"dim": "4"}, "dataset key dim must be an integer"),
-    ({"cluster_std": "1.2"}, "dataset key cluster_std must be a number"),
-    ({"center_spread": False}, "dataset key center_spread must be a number"),
-    ({"kind": "spirals", "n_test": None}, "dataset key n_test must be an integer"),
-    ({"kind": "spirals", "noise": [0.1]}, "dataset key noise must be a number"),
+    ({"n_train": 128.7}, "dataset field n_train must be an integer"),
+    ({"seed": True}, "dataset field seed must be an integer"),
+    ({"classes": 3.0}, "dataset field classes must be an integer"),
+    ({"dim": "4"}, "dataset field dim must be an integer"),
+    ({"cluster_std": "1.2"}, "dataset field cluster_std must be a number"),
+    ({"center_spread": False}, "dataset field center_spread must be a number"),
+    ({"kind": "spirals", "n_test": None}, "dataset field n_test must be an integer"),
+    ({"kind": "spirals", "noise": [0.1]}, "dataset field noise must be a number"),
 ], ids=["float count", "bool seed", "integral float", "string integer",
         "string float", "bool float", "null count", "list float"])
 def test_wrongly_typed_descriptor_values_rejected(change, message):
@@ -82,7 +82,7 @@ def test_csv_wrongly_typed_split_values_rejected(tmp_path):
     path.write_text("".join(f"{i},{i % 2}\n" for i in range(10)))
     desc = {"kind": "csv", "path": str(path), "test_fraction": 0.2, "seed": 1}
     load_dataset(desc)
-    with pytest.raises(ValueError, match="dataset key seed must be an integer"):
+    with pytest.raises(ValueError, match="dataset field seed must be an integer"):
         load_dataset(dict(desc, seed=1.5))
     with pytest.raises(ValueError, match="test_fraction must be a number"):
         load_dataset(dict(desc, test_fraction="0.2"))
@@ -91,16 +91,15 @@ def test_csv_wrongly_typed_split_values_rejected(tmp_path):
 @pytest.mark.parametrize("kind", ["blobs", "spirals"])
 @pytest.mark.parametrize("classes", [0, 1, -2])
 def test_fewer_than_two_generated_classes_rejected(kind, classes):
-    with pytest.raises(ValueError, match=f"^dataset key classes must be "
+    with pytest.raises(ValueError, match=f"^dataset field classes must be "
                                          f">= 2, got {classes}$"):
         load_dataset(dict(BLOBS, kind=kind, classes=classes))
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"path": 3}, "dataset key path must be a string, got 3"),
-    ({"test_path": ["x"]}, r"dataset key test_path must be a string, "
-                           r"got \['x'\]"),
-    ({"delimiter": 0}, "dataset key delimiter must be a string, got 0"),
+    ({"path": 3}, "dataset field path must be a string"),
+    ({"test_path": ["x"]}, "dataset field test_path must be a string"),
+    ({"delimiter": 0}, "dataset field delimiter must be a string"),
 ], ids=["integer path", "list test_path", "integer delimiter"])
 def test_csv_non_string_values_rejected(tmp_path, change, message):
     path = tmp_path / "d.csv"
@@ -109,6 +108,71 @@ def test_csv_non_string_values_rejected(tmp_path, change, message):
     load_dataset(desc)
     with pytest.raises(ValueError, match=message):
         load_dataset(dict(desc, **change))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_train": -5}, "dataset field n_train must be >= 1, got -5"),
+    ({"n_test": 0}, "dataset field n_test must be >= 1, got 0"),
+    ({"dim": 0}, "dataset field dim must be >= 1, got 0"),
+    ({"center_spread": -1.0},
+     "dataset field center_spread must be >= 0, got -1.0"),
+    ({"cluster_std": -1.0}, "dataset field cluster_std must be >= 0, got -1.0"),
+    ({"seed": -1}, "dataset field seed must be >= 0, got -1"),
+    ({"cluster_std": float("nan")}, "dataset field cluster_std must be finite"),
+    ({"center_spread": float("inf")},
+     "dataset field center_spread must be finite"),
+    ({"kind": "spirals", "noise": -0.1},
+     "dataset field noise must be >= 0, got -0.1"),
+    ({"kind": "spirals", "n_train": -5},
+     "dataset field n_train must be >= 1, got -5"),
+    ({"kind": "spirals", "turns": float("-inf")},
+     "dataset field turns must be finite"),
+], ids=["negative n_train", "zero n_test", "zero dim", "negative spread",
+        "negative std", "negative seed", "nan std", "infinite spread",
+        "negative noise", "negative spirals n_train", "infinite turns"])
+def test_out_of_range_descriptor_values_rejected(change, message):
+    with pytest.raises(ValueError) as info:
+        load_dataset(dict(BLOBS, **change))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"delimiter": ""}, "dataset field delimiter must not be empty"),
+    ({"seed": -1}, "dataset field seed must be >= 0, got -1"),
+    ({"test_fraction": 1.5},
+     "dataset field test_fraction must be in (0, 1), got 1.5"),
+    ({"test_fraction": float("nan")},
+     "dataset field test_fraction must be finite"),
+    ({"seed": None}, "csv descriptor needs test_path, or test_fraction and "
+                     "seed"),
+], ids=["empty delimiter", "negative seed", "fraction above 1", "nan fraction",
+        "null seed"])
+def test_csv_out_of_range_values_rejected(tmp_path, change, message):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i},{i % 2}\n" for i in range(10)))
+    desc = {"kind": "csv", "path": str(path), "test_fraction": 0.2, "seed": 1}
+    load_dataset(desc)
+    with pytest.raises(ValueError) as info:
+        load_dataset(dict(desc, **change))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", [None, ["blobs"], "moons"])
+def test_unknown_dataset_kind_rejected(kind):
+    with pytest.raises(ValueError, match="unknown dataset kind"):
+        load_dataset(dict(BLOBS, kind=kind))
+
+
+def test_descriptor_defaults_are_declared_once():
+    # a descriptor naming every default builds the same data as one that
+    # names none
+    full = dict(BLOBS, dim=2, center_spread=3.0, cluster_std=1.0)
+    for a, b in zip(load_dataset(BLOBS), load_dataset(full)):
+        assert a.x.tobytes() == b.x.tobytes()
+    spirals = dict(BLOBS, kind="spirals")
+    for a, b in zip(load_dataset(spirals),
+                    load_dataset(dict(spirals, noise=0.1, turns=1.5))):
+        assert a.x.tobytes() == b.x.tobytes()
 
 
 def test_numeric_descriptor_values_accept_numpy_scalars():
