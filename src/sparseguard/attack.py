@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .models import posteriors
+from .models import MODES, posteriors
 from .numcore import Tape
 from .numcore import ops
 from .numcore.optim import adam_step
 
 HALF_BATCH = 64
 CLAMP = 1e-12
-MODES = ("blackbox", "whitebox")
 
 
 @dataclass

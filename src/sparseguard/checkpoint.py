@@ -15,13 +15,13 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attack import MODES
 from .config import target_spec_from
-from .document import check_document
+from .document import at_least, check_document, check_ranges, one_of, within
 from .models import SparseModel, build_target
 from .sparse import active_count
 
@@ -37,21 +37,19 @@ class Header:
 
     version: int
     target: dict
-    omega: float
+    omega: float = within(0, 1, closed=True)
     epsilon: float
-    iteration: int
-    seed: int
+    iteration: int = at_least(0)
+    seed: int = at_least(0)
     dataset: dict
-    attacker_mode: str = field(metadata={"choices": MODES})
+    attacker_mode: str = one_of(MODES)
     active_count: int
     param_shapes: list
     mask_shapes: list
     spec_digest: str
 
     def __post_init__(self):
-        for key in ("iteration", "seed"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"checkpoint field {key} must be >= 0")
+        check_ranges(self, "checkpoint ")
 
 
 @dataclass

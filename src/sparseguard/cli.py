@@ -23,6 +23,7 @@ from .attack import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
 from .data import load_dataset
+from .document import check_value
 from .models import build_attacker
 from .orchestrator import (
     RngTree,
@@ -64,6 +65,7 @@ def cmd_run(args) -> int:
     try:
         config, dataset, out_dir = load_config(args.config)
         if args.seed is not None:
+            check_value(RunConfig, "seed", args.seed, "seed")
             config = dataclasses.replace(config, seed=args.seed)
         if args.deterministic:
             config = dataclasses.replace(config, deterministic=True)
@@ -104,10 +106,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_attack_eval(args) -> int:
-    if args.attacker_epochs < 0:
-        return _fail(f"--attacker-epochs must be >= 0, got "
-                     f"{args.attacker_epochs}", 2)
     try:
+        check_value(RunConfig, "attacker_epochs_first", args.attacker_epochs,
+                    "--attacker-epochs")
+        check_value(RunConfig, "seed", args.seed, "seed")  # None passes
         ckpt = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
@@ -126,10 +128,7 @@ def cmd_attack_eval(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc), 2)
 
-    seed = header.seed if args.seed is None else args.seed
-    if seed < 0:
-        return _fail(f"seed must be >= 0, got {seed}", 2)
-    seq = RngTree(seed)
+    seq = RngTree(header.seed if args.seed is None else args.seed)
     rng_split = seq.next()  # first spawn: matches the run's split stream
     try:
         splits = split_for_attack(*datasets, rng_split)

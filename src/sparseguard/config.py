@@ -4,8 +4,8 @@ The document holds RunConfig's fields, with `target` as a JSON object and
 `pairs` as a list of "prune:grow" tags, plus two keys of its own: the
 dataset descriptor `dataset` (required) and the output directory `out_dir`
 (default "runs"). Unknown keys are rejected so typos fail fast, every value
-must have its field's JSON type (`document.check_document`), and RunConfig
-range-checks the result.
+must have its field's JSON type (`document.check_document`), and every
+value must lie in the range its field declares.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A dataset descriptor is a JSON object whose `kind` picks one of the
 declared descriptor classes below; its other keys are that class's fields,
-checked by `document.check_document` and range-checked by the class. Every
+checked by `document.check_document` and by each field's declared range. Every
 loader returns a (train, test) pair of LabeledSet already standardized
 feature-wise using statistics computed on the training split only.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .document import check_document
+from .document import at_least, check_document, check_ranges, non_empty, within
 
 
 @dataclass
@@ -41,32 +41,31 @@ class Blobs:
     """Descriptor of kind "blobs": one Gaussian cluster per class around a
     random center."""
 
-    classes: int
-    n_train: int
-    n_test: int
-    seed: int
-    dim: int = 2
-    center_spread: float = 3.0
-    cluster_std: float = 1.0
+    classes: int = at_least(2)
+    n_train: int = at_least(1)
+    n_test: int = at_least(1)
+    seed: int = at_least(0)
+    dim: int = at_least(1, default=2)
+    center_spread: float = at_least(0, default=3.0)
+    cluster_std: float = at_least(0, default=1.0)
 
     def __post_init__(self):
-        _at_least(self, classes=2, n_train=1, n_test=1, seed=0, dim=1,
-                  center_spread=0, cluster_std=0)
+        check_ranges(self, "dataset ")
 
 
 @dataclass(frozen=True)
 class Spirals:
     """Descriptor of kind "spirals": one noisy 2-d spiral arm per class."""
 
-    classes: int
-    n_train: int
-    n_test: int
-    seed: int
-    noise: float = 0.1
+    classes: int = at_least(2)
+    n_train: int = at_least(1)
+    n_test: int = at_least(1)
+    seed: int = at_least(0)
+    noise: float = at_least(0, default=0.1)
     turns: float = 1.5
 
     def __post_init__(self):
-        _at_least(self, classes=2, n_train=1, n_test=1, seed=0, noise=0)
+        check_ranges(self, "dataset ")
 
 
 @dataclass(frozen=True)
@@ -77,30 +76,16 @@ class Csv:
 
     path: str
     test_path: str | None = None
-    test_fraction: float | None = None
-    seed: int | None = None
-    delimiter: str = ","
+    test_fraction: float | None = within(0, 1, default=None)
+    seed: int | None = at_least(0, default=None)
+    delimiter: str = non_empty(default=",")
 
     def __post_init__(self):
-        if not self.delimiter:
-            raise ValueError("dataset field delimiter must not be empty")
-        if self.seed is not None:
-            _at_least(self, seed=0)
-        if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"dataset field test_fraction must be in (0, 1), "
-                             f"got {self.test_fraction}")
+        check_ranges(self, "dataset ")
         if self.test_path is None and (self.test_fraction is None
                                        or self.seed is None):
             raise ValueError(
                 "csv descriptor needs test_path, or test_fraction and seed")
-
-
-def _at_least(desc, **bounds) -> None:
-    for name, low in bounds.items():
-        value = getattr(desc, name)
-        if value < low:
-            raise ValueError(f"dataset field {name} must be >= {low}, "
-                             f"got {value}")
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:

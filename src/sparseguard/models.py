@@ -17,31 +17,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .document import at_least, check_ranges, one_of
 from .numcore import Tensor, ops
 from .numcore.layers import Conv1d, Conv2d, Linear, Reshape, Sequential
 from .numcore.optim import AdamState
 from .sparse import er_initialize
 
 ATTACKER_INIT_STD = 0.01
+MODES = ("blackbox", "whitebox")  # attacker modes
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    kind: str                      # "mlp" or "cnn"
-    input_shape: tuple[int, ...]   # (d,) for mlp, (c, h, w) for cnn
-    classes: int
-    hidden: tuple[int, ...] = (300, 100)    # mlp hidden widths
-    channels: tuple[int, ...] = (16, 32)    # cnn conv channels
-    kernel: int = 3
+    kind: str = one_of(("mlp", "cnn"))
+    input_shape: tuple[int, ...] = at_least(1)  # (d,) mlp, (c, h, w) cnn
+    classes: int = at_least(2)
+    hidden: tuple[int, ...] = at_least(1, default=(300, 100))  # mlp widths
+    channels: tuple[int, ...] = at_least(1, default=(16, 32))  # cnn stages
+    kernel: int = at_least(1, default=3)
 
     def __post_init__(self):
-        if self.kind not in ("mlp", "cnn"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.classes < 2:
-            raise ValueError("need at least two classes")
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "channels", tuple(self.channels))
+        for name in ("input_shape", "hidden", "channels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_ranges(self, "target ")
+        scale = 2 ** len(self.channels)  # one 2x2 max-pool per cnn stage
+        if self.kind == "cnn" and (len(self.input_shape) != 3 or any(
+                d % scale for d in self.input_shape[1:])):
+            raise ValueError(f"target field input_shape must be [c, h, w] "
+                             f"with h and w divisible by 2 ** len(channels) "
+                             f"= {scale}, got {list(self.input_shape)}")
 
     @property
     def input_width(self) -> int:
@@ -88,8 +92,6 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
         layers.append(ops.softmax)
     else:
         c, h, w = spec.input_shape
-        if h % 4 or w % 4:
-            raise ValueError("cnn input spatial dims must be divisible by 4")
         layers.append(Reshape(spec.input_shape))
         c_prev = c
         for c_out in spec.channels:
@@ -99,7 +101,8 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
             layers.append(ops.relu)
             layers.append(ops.maxpool2)
             c_prev = c_out
-        flat = c_prev * (h // 4) * (w // 4)
+        scale = 2 ** len(spec.channels)
+        flat = c_prev * (h // scale) * (w // scale)
         layers.append(ops.flatten)
         layers.append(Linear(flat, spec.classes, rng, math.sqrt(2.0 / flat), masked=True))
         layers.append(ops.softmax)
@@ -126,7 +129,7 @@ def last_layer_gradient_length(model: SparseModel) -> int:
 
 @dataclass(frozen=True)
 class AttackerSpec:
-    mode: str                      # "blackbox" or "whitebox"
+    mode: str                      # one of MODES
     classes: int
     grad_len: int = 0              # whitebox only: flattened last-layer gradient
     stream_hidden: int = 128
@@ -137,7 +140,7 @@ class AttackerSpec:
     conv_stride: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("blackbox", "whitebox"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown attacker mode {self.mode!r}")
         if self.mode == "whitebox" and self.grad_len < self.conv_kernel:
             raise ValueError(

@@ -26,6 +26,7 @@ from .attack import (
     train_attacker,
 )
 from .data import LabeledSet
+from .document import above, at_least, check_ranges, one_of, within
 from .metrics import VARIANTS, task_accuracy, tm_score, training_loss
 from .models import TargetSpec, build_attacker, build_target
 from .numcore import Tape
@@ -45,91 +46,50 @@ from .sparse import (
 class RunConfig:
     """Everything one compression run needs besides the datasets."""
 
-    omega: float
+    omega: float = within(0, 1, closed=True)
     target: TargetSpec
     pairs: tuple[StrategyPair, ...] = ALL_PAIRS
-    inner_iterations: int = 4000
-    batch_size: int = 128
-    candidate_finetune_epochs: float = 1.0
-    total_epochs: float = 10.0
-    variant: str = "none"
-    beta: float = 0.1
-    lam: float = 1.0
-    learning_rate: float = 0.1
+    inner_iterations: int = at_least(0, default=4000)
+    batch_size: int = at_least(2, default=128)
+    candidate_finetune_epochs: float = at_least(0, default=1.0)
+    total_epochs: float = at_least(1, default=10.0)
+    variant: str = one_of(VARIANTS, default="none")
+    beta: float = at_least(0, default=0.1)
+    lam: float = at_least(0, default=1.0)
+    learning_rate: float = above(0, default=0.1)
     lr_milestones: tuple[float, ...] = (0.5, 0.75)
-    lr_decay: float = 0.1
-    attacker_mode: str = "blackbox"
-    attacker_epochs_first: int = 100
-    attacker_epochs_topup: int = 20
-    attacker_finetune_epochs: int = 5
-    attacker_learning_rate: float = 0.001
-    prune_rate_start: float = 0.2
-    prune_rate_end: float = 0.02
-    tau: float | None = None
-    validation_fraction: float = 0.2
-    probe_size: int = 512
+    lr_decay: float = within(0, 1, default=0.1)
+    attacker_mode: str = one_of(MODES, default="blackbox")
+    attacker_epochs_first: int = at_least(0, default=100)
+    attacker_epochs_topup: int = at_least(0, default=20)
+    attacker_finetune_epochs: int = at_least(0, default=5)
+    attacker_learning_rate: float = above(0, default=0.001)
+    prune_rate_start: float = within(0, 1, default=0.2)
+    prune_rate_end: float = within(0, 1, default=0.02)
+    tau: float | None = at_least(0, default=None)
+    validation_fraction: float = within(0, 1, default=0.2)
+    probe_size: int = at_least(1, default=512)
     early_stop: bool = False
     early_stop_delta: float = 0.005
-    early_stop_patience: int = 3
-    seed: int = 0
+    early_stop_patience: int = at_least(1, default=3)
+    seed: int = at_least(0, default=0)
     deterministic: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError(f"omega must be in (0, 1], got {self.omega}")
-        if not self.pairs:
-            raise ValueError("strategy set must be non-empty")
-        if self.total_epochs < 1.0:
-            raise ValueError("total epoch budget must be >= 1")
-        if self.inner_iterations < 0:
-            raise ValueError("inner iteration count must be >= 0")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2")
-        if self.candidate_finetune_epochs < 0:
-            raise ValueError("candidate fine-tune epochs must be >= 0")
-        if self.inner_iterations == 0 and self.candidate_finetune_epochs == 0:
-            raise ValueError("an outer iteration must consume some budget")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got "
-                             f"{self.learning_rate}")
-        if not 0.0 < self.lr_decay < 1.0:
-            raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
-        fractions = self.lr_milestones
-        if (any(not 0.0 < f < 1.0 for f in fractions)
-                or any(b <= a for a, b in zip(fractions, fractions[1:]))):
-            raise ValueError(f"lr_milestones must be strictly increasing "
-                             f"fractions in (0, 1), got {list(fractions)}")
-        if self.attacker_learning_rate <= 0:
-            raise ValueError(f"attacker_learning_rate must be > 0, got "
-                             f"{self.attacker_learning_rate}")
-        for name in ("attacker_epochs_first", "attacker_epochs_topup",
-                     "attacker_finetune_epochs", "lam"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.tau is not None and self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        for name in ("prune_rate_start", "prune_rate_end"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
-        if self.probe_size < 1:
-            raise ValueError(f"probe_size must be >= 1, got {self.probe_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.attacker_mode not in MODES:
-            raise ValueError(f"attacker mode must be one of {MODES}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must be in (0, 1)")
+        check_ranges(self)
         if not isinstance(self.target, TargetSpec):
-            raise ValueError("target must be a TargetSpec")
-        for p in self.pairs:
-            if not isinstance(p, StrategyPair):
-                raise ValueError("pairs must contain StrategyPair entries")
+            raise ValueError("field target must be a TargetSpec")
+        if not self.pairs or not all(isinstance(p, StrategyPair)
+                                     for p in self.pairs):
+            raise ValueError("field pairs must be non-empty StrategyPairs")
+        if self.inner_iterations == 0 and self.candidate_finetune_epochs == 0:
+            raise ValueError("fields inner_iterations and "
+                             "candidate_finetune_epochs must not both be 0")
+        ends = (0.0, *self.lr_milestones, 1.0)  # start, milestones, end
+        if any(b <= a for a, b in zip(ends, ends[1:])):
+            raise ValueError("field lr_milestones must be strictly increasing "
+                             "fractions in (0, 1), got "
+                             f"{list(self.lr_milestones)}")
 
 
 class RngTree:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .document import check_ranges, one_of
+
 PRUNE_KINDS = ("magnitude", "threshold")
 GROW_KINDS = ("gradient", "random")
 
@@ -30,14 +32,11 @@ class StrategyPair:
     doubles as the fixed tie-break order: magnitude < threshold, gradient <
     random."""
 
-    prune: str
-    grow: str
+    prune: str = one_of(PRUNE_KINDS)
+    grow: str = one_of(GROW_KINDS)
 
     def __post_init__(self):
-        if self.prune not in PRUNE_KINDS:
-            raise ValueError(f"unknown prune strategy {self.prune!r}")
-        if self.grow not in GROW_KINDS:
-            raise ValueError(f"unknown grow strategy {self.grow!r}")
+        check_ranges(self, "strategy ")
 
     def tag(self) -> str:
         return f"{self.prune}:{self.grow}"
@@ -106,10 +105,10 @@ def sparsity(model) -> float:
 
 def er_initialize(model, omega: float, rng: np.random.Generator):
     """Draw per-layer Bernoulli masks at the calibrated eps, redraw when the
-    realized density misses omega by more than 10% relative (at most 20
-    attempts), then flip random positions to land exactly on
-    floor(omega * total) active weights. Surviving weights are redrawn from
-    normal(0, sqrt(2/fan_in)); dead positions are exactly 0."""
+    realized count misses omega * total by over 10% (by over 1 if no count
+    is that close; 20 attempts at most), then flip random positions to land
+    on floor(omega * total) active weights exactly. Surviving weights are
+    redrawn from normal(0, sqrt(2/fan_in)); dead positions are exactly 0."""
     layers = model.masked_layers()
     if not layers:
         raise ValueError("model has no maskable layers")
@@ -117,13 +116,16 @@ def er_initialize(model, omega: float, rng: np.random.Generator):
     eps = calibrate_epsilon(dims, omega)
     probs = [er_probability(eps, a, b) for a, b in dims]
     total = sum(a * b for a, b in dims)
-    target = math.floor(omega * total)
+    expected, tolerance = omega * total, 0.10 * omega * total
+    if math.floor(expected + tolerance) < expected - tolerance:
+        tolerance = 1.0  # the 10% window holds no whole count
+    target = math.floor(expected)
 
     for attempt in range(20):
         masks = [(rng.random(l.w.data.shape) < p).astype(np.float64)
                  for l, p in zip(layers, probs)]
         realized = sum(int(m.sum()) for m in masks)
-        if abs(realized - omega * total) <= 0.10 * omega * total:
+        if abs(realized - expected) <= tolerance:
             break
     else:
         raise RuntimeError("er_initialize: redraw budget exhausted (20 attempts)")

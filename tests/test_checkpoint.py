@@ -151,7 +151,10 @@ def _resign_header(path, edit):
     ({"depth": 2}, "unknown target field: depth"),
     ({"classes": "3"}, "target field classes must be an integer"),
     ({"hidden": [12.5]}, "target field hidden[0] must be an integer"),
-], ids=["unknown key", "string classes", "float width"])
+    ({"hidden": [0]}, "target field hidden[0] must be >= 1, got 0"),
+    ({"classes": 1}, "target field classes must be >= 2, got 1"),
+], ids=["unknown key", "string classes", "float width", "zero width",
+        "one class"])
 def test_malformed_target_rejected(tmp_path, change, message):
     model = random_model(np.random.default_rng(7))
     path = tmp_path / "m.bin"
@@ -194,6 +197,8 @@ def test_non_finite_weight_rejected(tmp_path, value):
     ("param_shapes", 5, "checkpoint field param_shapes must be a list"),
     ("active_count", "7", "checkpoint field active_count must be an integer"),
     ("note", "extra", "unknown checkpoint field: note"),
+    ("omega", 1.5, "checkpoint field omega must be in (0, 1], got 1.5"),
+    ("iteration", -1, "checkpoint field iteration must be >= 0, got -1"),
 ])
 def test_malformed_header_field_rejected(tmp_path, key, value, message):
     model = random_model(np.random.default_rng(9))

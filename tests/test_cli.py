@@ -37,6 +37,10 @@ TOY_CONFIG = {
     "deterministic": True,
 }
 
+# a two-stage CNN target for 16-feature rows, as the CI workflow runs it
+TOY_CNN_TARGET = {"kind": "cnn", "input_shape": [1, 4, 4], "classes": 3,
+                  "channels": [2, 4], "kernel": 3}
+
 
 @pytest.fixture()
 def toy_run(tmp_path, capsys):
@@ -150,6 +154,22 @@ def test_run_missing_config_file(tmp_path):
      "dataset field n_train must be >= 1, got -5"),
     ({"dataset": dict(TOY_CONFIG["dataset"], cluster_std=float("nan"))},
      "dataset field cluster_std must be finite"),
+    ({"target": dict(TOY_CONFIG["target"], hidden=[0, 8])},
+     "target field hidden[0] must be >= 1, got 0"),
+    ({"target": dict(TOY_CONFIG["target"], hidden=[-3, 8])},
+     "target field hidden[0] must be >= 1, got -3"),
+    ({"target": dict(TOY_CNN_TARGET, kernel=0)},
+     "target field kernel must be >= 1, got 0"),
+    ({"target": dict(TOY_CNN_TARGET, channels=[0, 4])},
+     "target field channels[0] must be >= 1, got 0"),
+    ({"target": dict(TOY_CNN_TARGET, input_shape=[16])},
+     "target field input_shape must be [c, h, w] with h and w divisible by "
+     "2 ** len(channels) = 4, got [16]"),
+    ({"target": dict(TOY_CNN_TARGET, input_shape=[1, 6, 6])},
+     "target field input_shape must be [c, h, w] with h and w divisible by "
+     "2 ** len(channels) = 4, got [1, 6, 6]"),
+    ({"early_stop": True, "early_stop_patience": 0},
+     "field early_stop_patience must be >= 1, got 0"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -161,7 +181,10 @@ def test_run_missing_config_file(tmp_path):
         "negative fine-tune attacker epochs", "negative lam", "negative tau",
         "negative seed", "one training row", "nan lam", "infinite epochs",
         "nan beta", "infinite learning rate", "nan early-stop delta",
-        "nan milestone", "negative dataset count", "nan dataset std"])
+        "nan milestone", "negative dataset count", "nan dataset std",
+        "zero hidden width", "negative hidden width", "zero cnn kernel",
+        "zero cnn channels", "flat cnn input", "cnn side not divisible",
+        "zero early-stop patience"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -286,9 +309,11 @@ def _toy_checkpoint(path, weight=None, target_change=None,
     ({"header_change": {"note": "extra"}}, "unknown checkpoint field: note"),
     ({"header_change": {"omega": float("nan")}},
      "checkpoint field omega must be finite"),
+    ({"target_change": {"hidden": [0]}},
+     "target field hidden[0] must be >= 1, got 0"),
 ], ids=["unknown target key", "string classes", "nan weight", "null epsilon",
         "null iteration", "unknown attacker mode", "list target",
-        "unknown header key", "nan omega"])
+        "unknown header key", "nan omega", "zero hidden width"])
 def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                                                   message):
     path = _toy_checkpoint(tmp_path / "c.bin", **edits)

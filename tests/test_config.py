@@ -77,6 +77,37 @@ def test_target_spec_validation():
         target_spec_from({"kind": "mlp", "input_shape": [2]})
 
 
+CNN_TARGET = {"kind": "cnn", "input_shape": [1, 8, 8], "classes": 3,
+              "channels": [2, 4]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"kind": "rnn"}, "target field kind must be one of ('mlp', 'cnn')"),
+    ({"classes": 1}, "target field classes must be >= 2, got 1"),
+    ({"input_shape": [1, 0, 8]},
+     "target field input_shape[1] must be >= 1, got 0"),
+    ({"hidden": [8, 0]}, "target field hidden[1] must be >= 1, got 0"),
+    ({"channels": [2, -1]}, "target field channels[1] must be >= 1, got -1"),
+    ({"input_shape": [1, 8, 8], "channels": [2, 2, 2, 2]},
+     "target field input_shape must be [c, h, w] with h and w divisible by "
+     "2 ** len(channels) = 16, got [1, 8, 8]"),
+], ids=["unknown kind", "one class", "zero input side", "zero width",
+        "negative channels", "too many stages"])
+def test_target_out_of_range_rejected(change, message):
+    with pytest.raises(ValueError) as info:
+        target_spec_from(dict(CNN_TARGET, **change))
+    assert str(info.value) == message
+
+
+def test_target_bounds_hold_for_specs_built_in_code():
+    with pytest.raises(ValueError, match=r"^target field hidden\[0\] must"):
+        TargetSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(0,))
+    # an mlp has no conv stages, so channels and kernel go unused but must
+    # still be in range; its input may have any rank
+    spec = TargetSpec(kind="mlp", input_shape=(2, 3), classes=2)
+    assert spec.input_width == 6
+
+
 def test_dataset_must_be_object():
     doc = dict(MINIMAL, dataset="blobs")
     with pytest.raises(ValueError, match="dataset must be an object"):
@@ -86,7 +117,7 @@ def test_dataset_must_be_object():
 # a value for every RunConfig field, none of them its default
 EVERY_FIELD = {
     "omega": 0.5,
-    "target": {"kind": "cnn", "input_shape": [1, 2, 2], "classes": 3,
+    "target": {"kind": "cnn", "input_shape": [1, 4, 4], "classes": 3,
                "hidden": [5], "channels": [2, 3], "kernel": 2},
     "pairs": ["threshold:random"],
     "inner_iterations": 7,
@@ -124,7 +155,7 @@ def test_every_run_config_field_parses_to_its_value():
     expected = {
         name: tuple(value) if isinstance(value, list) else value
         for name, value in EVERY_FIELD.items()}
-    expected["target"] = TargetSpec(kind="cnn", input_shape=(1, 2, 2),
+    expected["target"] = TargetSpec(kind="cnn", input_shape=(1, 4, 4),
                                     classes=3, hidden=(5,), channels=(2, 3),
                                     kernel=2)
     expected["pairs"] = (StrategyPair("threshold", "random"),)

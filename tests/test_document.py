@@ -8,7 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from sparseguard.document import check_document
+from sparseguard.document import (
+    above,
+    at_least,
+    check_document,
+    check_ranges,
+    check_value,
+    non_empty,
+    one_of,
+    within,
+)
 
 
 @dataclass
@@ -63,3 +72,60 @@ def test_document_not_as_declared_rejected(doc, message):
 
 def test_huge_integer_in_a_number_field_is_finite():
     check_document(Doc, {"count": 1, "rate": 10 ** 400})
+
+
+@dataclass(frozen=True)
+class Ranged:
+    count: int = at_least(1)
+    rate: float = above(0, default=1.0)
+    share: float = within(0, 1, default=0.5)
+    level: float = within(0, 1, closed=True, default=1.0)
+    widths: tuple[int, ...] = at_least(2, default=(2,))
+    limit: float | None = at_least(0, default=None)
+    name: str = non_empty(default="x")
+    mode: str = one_of(("a", "b"), default="a")
+
+    def __post_init__(self):
+        check_ranges(self, "ranged ")
+
+
+def test_in_range_document_builds():
+    Ranged(count=1, rate=1e-9, share=0.999, level=1.0, widths=(2, 9),
+           limit=0.0, name="y", mode="b")
+    assert Ranged(count=3).rate == 1.0 and Ranged.limit is None
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"count": 0}, "ranged field count must be >= 1, got 0"),
+    ({"rate": 0}, "ranged field rate must be > 0, got 0"),
+    ({"share": 1.0}, "ranged field share must be in (0, 1), got 1.0"),
+    ({"share": 0}, "ranged field share must be in (0, 1), got 0"),
+    ({"level": 1.5}, "ranged field level must be in (0, 1], got 1.5"),
+    ({"level": 0.0}, "ranged field level must be in (0, 1], got 0.0"),
+    ({"widths": (2, 1)}, "ranged field widths[1] must be >= 2, got 1"),
+    ({"widths": [1]}, "ranged field widths[0] must be >= 2, got 1"),
+    ({"limit": -0.5}, "ranged field limit must be >= 0, got -0.5"),
+    ({"name": ""}, "ranged field name must not be empty"),
+    ({"mode": "c"}, "ranged field mode must be one of ('a', 'b')"),
+], ids=["below minimum", "at exclusive minimum", "at open end",
+        "at open start", "above closed end", "at open start of half-open",
+        "sequence entry", "list entry", "optional value", "empty string",
+        "not a choice"])
+def test_out_of_range_value_rejected(change, message):
+    with pytest.raises(ValueError) as info:
+        Ranged(**dict({"count": 1}, **change))
+    assert str(info.value) == message
+
+
+def test_declared_bounds_reach_the_document_check():
+    # a choice is checked before the type, so a wrong type names the choices
+    with pytest.raises(ValueError, match=r"^field mode must be one of"):
+        check_document(Ranged, {"count": 1, "mode": 3})
+
+
+def test_check_value_names_the_value_as_told():
+    check_value(Ranged, "count", 5, "--count")
+    check_value(Ranged, "limit", None, "--limit")
+    with pytest.raises(ValueError) as info:
+        check_value(Ranged, "count", 0, "--count")
+    assert str(info.value) == "--count must be >= 1, got 0"

@@ -76,6 +76,20 @@ def test_cnn_target_shapes_and_masks():
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("channels, side", [((2,), 4), ((2, 3, 2), 8)],
+                         ids=["one stage", "three stages"])
+def test_cnn_target_of_any_stage_count_runs(channels, side):
+    spec = TargetSpec(kind="cnn", input_shape=(1, side, side), classes=3,
+                      channels=channels)
+    model = build_target(spec, 0.5, np.random.default_rng(5))
+    # each stage's max-pool halves both sides
+    flat = channels[-1] * (side // 2 ** len(channels)) ** 2
+    assert model.last_weight_layer().w.data.size == flat * 3
+    p = posteriors(model, np.random.default_rng(6).normal(size=(5, side ** 2)))
+    assert p.shape == (5, 3)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("spec", [
     MLP_SPEC, TargetSpec(kind="cnn", input_shape=(1, 8, 8), classes=3)],
     ids=["mlp", "cnn"])

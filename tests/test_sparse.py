@@ -129,6 +129,15 @@ def test_er_initialize_density_and_determinism():
         assert np.array_equal(a.w.data, b.w.data)
 
 
+def test_er_initialize_when_no_count_lies_within_ten_percent():
+    # 4x3 at omega 0.3 expects 3.6 +- 0.36 weights, a window that holds no
+    # whole count, so draws within one weight of 3.6 pass instead
+    for seed in range(10):
+        net = Net([4, 3], np.random.default_rng(seed))
+        er_initialize(net, 0.3, np.random.default_rng(seed))
+        assert active_count(net) == 3
+
+
 def test_er_initialize_full_density():
     rng = np.random.default_rng(1)
     net = Net([8, 4], rng)
