@@ -6,7 +6,8 @@ every mask as a little-bit-order packed bitset in masked_layers() order.
 The header is declared once, as `Header`: saving writes its fields, and
 loading checks the parsed header against them (`document.check_document`)
 and the recorded target spec like a config's, rebuilds the architecture
-from the spec, and restores finite weights bit-exactly and masks exactly.
+from the spec, and restores finite weights bit-exactly and masks exactly,
+holding them to the sparse-topology rule: a mask-0 weight must be ±0.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError("trailing bytes after checkpoint payload")
     if total_active != header.active_count:
         raise ValueError("mask popcount does not match recorded active count")
+    for k, layer in enumerate(layers):
+        if np.any(layer.w.data[layer.mask == 0.0]):
+            raise ValueError(f"checkpoint masked layer {k} holds a non-zero "
+                             f"weight at a pruned position")
     model.omega = float(header.omega)
     model.epsilon = float(header.epsilon)
     return Checkpoint(model=model, header=header)

@@ -97,7 +97,7 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
         for c_out in spec.channels:
             fan_in = c_prev * spec.kernel * spec.kernel
             layers.append(Conv2d(c_prev, c_out, spec.kernel, rng,
-                                 math.sqrt(2.0 / fan_in), padding="same", masked=True))
+                                 math.sqrt(2.0 / fan_in), masked=True))
             layers.append(ops.relu)
             layers.append(ops.maxpool2)
             c_prev = c_out

@@ -2,9 +2,10 @@
 
 Stateless layers are the op functions themselves (`ops.relu`, `ops.softmax`,
 `ops.flatten`, `ops.maxpool2`): a `Sequential` calls every item on the
-running tensor. Masked layers gate their weight matrix with a 0/1 float mask
-stored on the weight Parameter itself, so optimizers and sparse bookkeeping
-see one source of truth. Biases are always dense.
+running tensor. A masked layer stores its 0/1 float mask on the weight
+Parameter itself, so optimizers and sparse bookkeeping see one source of
+truth; a pruned weight holds ±0 (see `Parameter`), so no op takes the mask.
+Biases are always dense.
 """
 
 from __future__ import annotations
@@ -38,20 +39,18 @@ class Linear(Weighted):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  weight_scale: float, masked: bool = False):
         super().__init__((n_out, n_in), rng, weight_scale, masked)
-        self.n_in = n_in
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.linear(x, self.w, self.b, self.w.mask)
+        return ops.linear(x, self.w, self.b)
 
 
 class Conv2d(Weighted):
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator,
-                 weight_scale: float, padding: str = "same", masked: bool = False):
+                 weight_scale: float, masked: bool = False):
         super().__init__((c_out, c_in, kernel, kernel), rng, weight_scale, masked)
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.w, self.b, self.w.mask, padding=self.padding)
+        return ops.conv2d(x, self.w, self.b)
 
 
 class Conv1d(Weighted):

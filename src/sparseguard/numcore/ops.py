@@ -3,9 +3,10 @@ when a tape is active, records a closure returning the parents' adjoints.
 The weighted ops (`linear`, `conv2d`, `conv1d`) return None for an input
 whose `needs_grad` is False instead of computing an adjoint nobody reads.
 
-Weight gradients of masked layers are DENSE: they are taken with respect to
-the matrix entering the product, so mask-inactive positions still receive a
-growth signal. Probabilities are clamped to [1e-12, 1] inside every log.
+No op reads a mask: a pruned weight holds ±0 (see `Parameter`), so the
+weighted ops multiply by `w.data` as it is, and weight gradients are DENSE:
+pruned positions still receive the growth signal. Probabilities are
+clamped to [1e-12, 1] inside every log.
 """
 
 from __future__ import annotations
@@ -80,17 +81,16 @@ def concat(parts: list, axis: int = 1) -> Tensor:
 # ----------------------------------------------------------------- layers
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """out = x @ w_eff.T + b with x (n, n_in), w (n_out, n_in), b (n_out,)."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """out = x @ w.T + b with x (n, n_in), w (n_out, n_in), b (n_out,)."""
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ValueError(
             f"linear expects x (n, {w.data.shape[1]}), got {x.data.shape}"
         )
-    w_eff = w.data if mask is None else w.data * mask
-    out = Tensor(x.data @ w_eff.T + b.data)
+    out = Tensor(x.data @ w.data.T + b.data)
 
     def fn(g):
-        gx = g @ w_eff if x.needs_grad else None
+        gx = g @ w.data if x.needs_grad else None
         return gx, g.T @ x.data, g.sum(axis=0)
 
     _record(out, (x, w, b), fn)
@@ -127,31 +127,21 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None,
-           padding: str = "valid") -> Tensor:
-    """2-D correlation, stride 1. x (n, ci, H, W), w (co, ci, kh, kw)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """2-D correlation, stride 1, "same" padding (an even kernel pads one more
+    row and column after than before). x (n, ci, H, W), w (co, ci, kh, kw)."""
     n, ci, height, width = x.data.shape
     co, ci_w, kh, kw = w.data.shape
     if ci_w != ci:
         raise ValueError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
-    if padding == "same":
-        ph0, pw0 = (kh - 1) // 2, (kw - 1) // 2
-        ph1, pw1 = kh - 1 - ph0, kw - 1 - pw0
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-    elif padding == "valid":
-        ph0 = pw0 = 0
-        xp = x.data
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError("kernel larger than (padded) input")
+    ph0, pw0 = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph0, kh - 1 - ph0), (pw0, kw - 1 - pw0)))
 
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n, oh, ow, ci * kh * kw)
-    w_eff = (w.data if mask is None else w.data * mask).reshape(co, -1)
-    out_data = np.einsum("nhwk,ok->nohw", cols, w_eff, optimize=True)
+    cols = cols.reshape(n, height, width, ci * kh * kw)
+    w_mat = w.data.reshape(co, -1)
+    out_data = np.einsum("nhwk,ok->nohw", cols, w_mat, optimize=True)
     out = Tensor(out_data + b.data[None, :, None, None])
 
     def fn(g):
@@ -159,14 +149,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, mask: np.ndarray | None = None,
         gw = np.einsum("nohw,nhwk->ok", g, cols, optimize=True).reshape(w.data.shape)
         if not x.needs_grad:
             return None, gw, gb
-        gcols = np.einsum("nohw,ok->nhwk", g, w_eff, optimize=True)
-        gcols = gcols.reshape(n, oh, ow, ci, kh, kw)
+        gcols = np.einsum("nohw,ok->nhwk", g, w_mat, optimize=True)
+        gcols = gcols.reshape(n, height, width, ci, kh, kw)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + oh, j:j + ow] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        gx = gxp if padding == "valid" else gxp[:, :, ph0:ph0 + height, pw0:pw0 + width]
-        return gx, gw, gb
+                gxp[:, :, i:i + height, j:j + width] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        return gxp[:, :, ph0:ph0 + height, pw0:pw0 + width], gw, gb
 
     _record(out, (x, w, b), fn)
     return out
@@ -185,8 +174,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
     cols = windows[:, :, ::stride]                        # (n, ci, ol, k) view
     cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(n, ol, ci * k)
-    w_eff = w.data.reshape(co, -1)
-    out_data = np.einsum("nlk,ok->nol", cols, w_eff, optimize=True)
+    w_mat = w.data.reshape(co, -1)
+    out_data = np.einsum("nlk,ok->nol", cols, w_mat, optimize=True)
     out = Tensor(out_data + b.data[None, :, None])
 
     def fn(g):
@@ -194,7 +183,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = np.einsum("nol,nlk->ok", g, cols, optimize=True).reshape(w.data.shape)
         if not x.needs_grad:
             return None, gw, gb
-        gcols = np.einsum("nol,ok->nlk", g, w_eff, optimize=True)
+        gcols = np.einsum("nol,ok->nlk", g, w_mat, optimize=True)
         gcols = gcols.reshape(n, ol, ci, k)
         gx = np.zeros_like(x.data)
         for j in range(k):

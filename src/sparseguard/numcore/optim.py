@@ -1,8 +1,9 @@
 """Optimizers: plain SGD and Adam.
 
 Both steppers honor parameter masks: the update is gated so mask-inactive
-weights stay exactly 0 no matter how many steps run. Each step consumes
-`grad` (None afterwards), so a step with no backward pass before it fails.
+weights stay exactly ±0 however many steps run (the rule of `Parameter`).
+Each step consumes `grad` (None afterwards), so a step with no backward pass
+before it fails.
 """
 
 from __future__ import annotations

@@ -45,11 +45,8 @@ class Tensor:
 
     __slots__ = ("data", "needs_grad")
 
-    def __init__(self, data, check: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
-        if check:
-            check_finite(arr, "tensor data")
-        self.data = arr
+    def __init__(self, data):
+        self.data = check_finite(np.asarray(data, dtype=np.float64), "tensor data")
         self.needs_grad = False
 
     def __repr__(self):
@@ -59,7 +56,10 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor. `grad` holds d(loss)/d(parameter) from the last
     backward pass until an optimizer step consumes it (None otherwise). An
-    optional 0/1 mask (same shape) gates updates; gradients stay dense."""
+    optional 0/1 mask (same shape) sets the sparse topology by one rule: a
+    weight whose mask entry is 0 holds ±0. The initializer, prune/grow and
+    the optimizers keep it, and checkpoint loading checks it; no op reads the
+    mask, so gradients stay dense, pruned positions included."""
 
     __slots__ = ("mask", "grad")
 

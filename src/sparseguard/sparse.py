@@ -5,7 +5,9 @@ strategies, and the count-preserving dynamic update.
 A "model" here is anything with masked_layers() returning layers whose .w is
 a Parameter carrying a 0/1 float mask of the same shape. Prune and grow act
 on one layer at a time and address its positions as flat row-major indices
-into that layer's weight tensor.
+into that layer's weight tensor. Every writer here keeps the sparse-topology
+rule (see `numcore.Parameter`): a weight whose mask entry is 0 holds ±0,
+which the optimizers keep too and checkpoint loading checks.
 """
 
 from __future__ import annotations

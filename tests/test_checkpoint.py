@@ -166,6 +166,22 @@ def test_malformed_target_rejected(tmp_path, change, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("value", [1.0, -1e-300])
+def test_nonzero_pruned_weight_rejected(tmp_path, value):
+    # the sparse-topology rule: a weight whose mask entry is 0 holds ±0
+    model = random_model(np.random.default_rng(9))
+    layers = model.masked_layers()
+    k = next(k for k, layer in enumerate(layers) if not layer.mask.all())
+    pruned = np.flatnonzero(layers[k].mask == 0.0)
+    layers[k].w.data.reshape(-1)[pruned[-1]] = value
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, model, iteration=1, seed=0, dataset=DESC,
+                    attacker_mode="blackbox")
+    with pytest.raises(ValueError, match=f"masked layer {k} holds a "
+                       f"non-zero weight at a pruned position"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_weight_rejected(tmp_path, value):
     model = random_model(np.random.default_rng(8))

@@ -266,17 +266,21 @@ def test_run_overflowing_csv_column_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.jsonl").exists()
 
 
-def _toy_checkpoint(path, weight=None, target_change=None,
+def _toy_checkpoint(path, weight=None, pruned=None, target_change=None,
                     header_change=None):
     """A checkpoint of an untrained toy target. `weight` overwrites every
-    parameter value; `target_change` edits the recorded target spec and
-    `header_change` the other header fields, under a recomputed digest, so
-    only the edited content can be rejected."""
+    active parameter value (pruned weights stay 0) and `pruned` every pruned
+    weight of the second masked layer; `target_change` edits the recorded
+    target spec and `header_change` the other header fields, under a
+    recomputed digest, so only the edited content can be rejected."""
     spec = target_spec_from(TOY_CONFIG["target"])
     model = build_target(spec, TOY_CONFIG["omega"], np.random.default_rng(0))
     if weight is not None:
         for p in model.params():
-            p.data[...] = weight
+            p.data[...] = weight if p.mask is None else weight * p.mask
+    if pruned is not None:
+        layer = model.masked_layers()[1]
+        layer.w.data[layer.mask == 0.0] = pruned
     save_checkpoint(path, model, iteration=1, seed=0,
                     dataset=TOY_CONFIG["dataset"], attacker_mode="blackbox")
     if target_change is not None or header_change is not None:
@@ -311,9 +315,12 @@ def _toy_checkpoint(path, weight=None, target_change=None,
      "checkpoint field omega must be finite"),
     ({"target_change": {"hidden": [0]}},
      "target field hidden[0] must be >= 1, got 0"),
+    ({"pruned": 1.0}, "checkpoint masked layer 1 holds a non-zero weight at "
+                      "a pruned position"),
 ], ids=["unknown target key", "string classes", "nan weight", "null epsilon",
         "null iteration", "unknown attacker mode", "list target",
-        "unknown header key", "nan omega", "zero hidden width"])
+        "unknown header key", "nan omega", "zero hidden width",
+        "non-zero pruned weight"])
 def test_attack_eval_malformed_checkpoint_exits_2(tmp_path, capsys, edits,
                                                   message):
     path = _toy_checkpoint(tmp_path / "c.bin", **edits)

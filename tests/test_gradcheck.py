@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseguard import gradcheck
-from sparseguard.numcore import Tensor
+from sparseguard.numcore import Tape, Tensor
 from sparseguard.numcore.layers import Linear
 from sparseguard.numcore import ops
 from sparseguard.numcore.tensor import active_tape
@@ -51,3 +51,32 @@ def test_corrupted_adjoint_fails_and_names_case():
     assert results[0].name == "corrupted-linear"
     assert not results[0].passed
     assert results[0].max_rel_err > 0.1
+
+
+def growth_blind(layer, x):
+    # the layer's own forward, but a backward that zeroes the weight gradient
+    # at pruned positions: the signal that gradient growth ranks on is gone
+    with Tape():  # keeps the layer's own node off the outer tape
+        out = layer(x)
+    tape = active_tape()
+    if tape is not None:
+        tape.record(out, (layer.w, layer.b),
+                    lambda g: ((g.T @ x.data) * layer.w.mask, g.sum(axis=0)))
+    return out
+
+
+def growth_blind_case(rng):
+    x = rng.normal(size=(4, 5))
+    layer = Linear(5, 3, rng, weight_scale=0.5, masked=True)
+    layer.w.mask[...] = np.arange(15).reshape(3, 5) % 3 != 0
+    layer.w.data *= layer.w.mask
+    y = rng.integers(0, 3, size=4)
+    loss = lambda: ops.cross_entropy(ops.softmax(growth_blind(layer, Tensor(x))), y)
+    return [layer.w, layer.b], loss
+
+
+def test_broken_growth_signal_fails():
+    results = gradcheck.run_cases(names=["growth-blind"],
+                                  extra={"growth-blind": growth_blind_case})
+    assert results[0].max_rel_err > gradcheck.TOLERANCE
+    assert not results[0].passed

@@ -123,9 +123,9 @@ def test_blackbox_attacker_shapes():
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=10),
                         np.random.default_rng(0))
     assert attacker.feature_length == 20
-    assert attacker.prob.layers[0].n_in == 10
-    assert attacker.label.layers[0].n_in == 10
-    assert attacker.fusion.layers[0].n_in == 128
+    assert attacker.prob.layers[0].w.data.shape[1] == 10
+    assert attacker.label.layers[0].w.data.shape[1] == 10
+    assert attacker.fusion.layers[0].w.data.shape[1] == 128
     feats = np.random.default_rng(1).normal(size=(5, 20))
     out = attacker(feats)
     assert out.data.shape == (5,)
@@ -159,7 +159,7 @@ def test_attacker_build_is_pure():
 def test_whitebox_fusion_width_and_feature_length():
     spec = AttackerSpec(mode="whitebox", classes=4, grad_len=100)
     attacker = Attacker(spec, np.random.default_rng(5))
-    assert attacker.fusion.layers[0].n_in == 4 * 64
+    assert attacker.fusion.layers[0].w.data.shape[1] == 4 * 64
     assert attacker.feature_length == 4 + 4 + 1 + 100
     feats = np.random.default_rng(6).normal(size=(3, 109))
     out = attacker(feats)
