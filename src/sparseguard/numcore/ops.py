@@ -196,21 +196,38 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; spatial dims must be even. Ties go to the
-    first position in row-major window order."""
+    first position in row-major window order (signed zeros compare equal, so
+    a window's first zero wins whatever its sign).
+
+    The input is read through its four strided window views, never copied or
+    reordered: inside the CNN it arrives in the (c, n, h, w) memory order of
+    `conv2d`'s `einsum`. The output and the input gradient are allocated in C
+    order. No winner index is kept: the backward pass finds each window's
+    first maximum again from the same views. A NaN written into `x.data`
+    after construction loses every comparison, so it reaches the output (and
+    its finite check) only when it is first in its window."""
     n, c, height, width = x.data.shape
     if height % 2 or width % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {height}x{width}")
     oh, ow = height // 2, width // 2
-    xr = x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-    xr = np.ascontiguousarray(xr).reshape(n, c, oh, ow, 4)
-    idx = xr.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0])
+    views = [x.data[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+    best = np.empty((n, c, oh, ow))
+    np.copyto(best, views[0])
+    for q in views[1:]:
+        np.copyto(best, q, where=q > best)
+    out = Tensor(best)
 
     def fn(g):
-        gr = np.zeros((n, c, oh, ow, 4))
-        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        gx = gr.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(gx).reshape(n, c, height, width),)
+        # the four views partition the input, so each writes its whole share
+        # of gx: g at its window's first maximum, +0.0 elsewhere
+        gx = np.empty((n, c, height, width))
+        free = np.ones((n, c, oh, ow), dtype=bool)
+        for (dy, dx), q in zip(((0, 0), (0, 1), (1, 0), (1, 1)), views):
+            hit = q == best
+            hit &= free
+            free ^= hit
+            gx[:, :, dy::2, dx::2] = np.where(hit, g, 0.0)
+        return (gx,)
 
     _record(out, (x,), fn)
     return out

@@ -3,8 +3,11 @@
 Ops (see ops.py) append nodes to the innermost active Tape in execution
 order; Tape.backward walks them in exact reverse, which is a reverse
 topological order by construction, and sets `grad` on each Parameter it
-reaches. Everything is float64 and every produced array is checked finite;
-NaN/Inf anywhere is an error, not a warning.
+reaches. Everything is float64, and NaN/Inf is an error, not a warning.
+Finite checks run on each data leaf and op output when its Tensor is built,
+on each Parameter gradient once per backward pass (not on the intermediate
+adjoints; see Tape.backward), and on each optimizer update before any
+parameter moves.
 
 `needs_grad` says whether a tensor's adjoint can reach a Parameter: False
 for data, True for every Parameter, and for a recorded op output True if and
@@ -99,7 +102,18 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and propagate adjoints through the
         recorded ops in reverse. Each Parameter reached gets `grad` set to its
-        summed adjoint; no other tensor keeps one."""
+        summed adjoint; no other tensor keeps one.
+
+        Finite checks: each Parameter's summed adjoint is checked once, after
+        the walk, and `grad` is set only if every one is finite (otherwise
+        NonFiniteError, and no gradient of this pass is set). Intermediate
+        adjoints are not checked: every backward closure carries NaN and ±inf
+        through (products, sums, `einsum`, scatters), so a non-finite adjoint
+        either reaches a Parameter's gradient or reaches nothing that is
+        read. Forward outputs, by contrast, stay checked per op (`Tensor`):
+        `relu` maps -inf to 0, `sigmoid` saturates ±inf and `maxpool2` drops a
+        -inf that is not its window's maximum, so a check deferred past them
+        would let an overflow pass silently."""
         if self._consumed:
             raise GraphError("tape already consumed by a previous backward")
         if not self._nodes:
@@ -109,6 +123,7 @@ class Tape:
         self._consumed = True
 
         adjoints = {id(loss): np.ones_like(loss.data)}
+        reached = {}
         for out, parents, fn in reversed(self._nodes):
             g = adjoints.pop(id(out), None)
             if g is None:
@@ -116,10 +131,13 @@ class Tape:
             for parent, pg in zip(parents, fn(g)):
                 if pg is None:
                     continue
-                check_finite(pg, "gradient")
                 key = id(parent)
                 if key in adjoints:
                     pg = adjoints[key] + pg
                 adjoints[key] = pg
                 if isinstance(parent, Parameter):
-                    parent.grad = pg
+                    reached[key] = parent
+        for key in reached:
+            check_finite(adjoints[key], "gradient")
+        for key, parameter in reached.items():
+            parameter.grad = adjoints[key]

@@ -640,3 +640,207 @@ def test_weighted_ops_match_the_reference_bitwise():
                     continue
                 assert np.array_equal(a, e), what
                 assert a.strides == e.strides, what
+
+
+# Test-local copy of `maxpool2` as it was before it read its input through
+# strided views: a contiguous (n, c, oh, ow, 4) copy, `argmax` and
+# `take_along_axis`. The reference for the bitwise test below.
+
+
+def _reference_maxpool2(x):
+    n, c, height, width = x.data.shape
+    oh, ow = height // 2, width // 2
+    xr = x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
+    xr = np.ascontiguousarray(xr).reshape(n, c, oh, ow, 4)
+    idx = xr.argmax(axis=-1)
+    out = Tensor(np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0])
+
+    def fn(g):
+        gr = np.zeros((n, c, oh, ow, 4))
+        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
+        gx = gr.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return (np.ascontiguousarray(gx).reshape(n, c, height, width),)
+
+    ops._record(out, (x,), fn)
+    return out
+
+
+# An (n, c, h, w) array laid out in memory as C order, as NHWC, or as the
+# (c, n, h, w) order that conv2d's einsum (and the relu after it) produces.
+LAYOUTS = {
+    "nchw": lambda a: np.ascontiguousarray(a),
+    "nhwc": lambda a: np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+    "cnhw": lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+}
+
+
+def _tied_values(rng, shape):
+    """Few distinct values, so most windows tie, with zeros of both signs:
+    many windows hold both -0.0 and 0.0, in either order."""
+    a = rng.integers(-2, 3, size=shape).astype(np.float64)
+    a[(a == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return a
+
+
+def _pool(op, data, tracked, adjoint):
+    """The op's output and, on a tape, the input gradient its closure returns
+    for `adjoint` (None off the tape)."""
+    x = Parameter(data) if tracked else Tensor(data)
+    if not tracked:
+        return op(x).data, None
+    with Tape() as tape:
+        out = op(x)
+    (recorded, parents, fn), = tape._nodes
+    assert recorded is out and parents == (x,)
+    (gx,) = fn(adjoint)
+    return out.data, gx
+
+
+def test_maxpool2_matches_the_reference_bitwise():
+    rng = np.random.default_rng(41)
+    shapes = [(1, 1, 2, 2), (1, 3, 4, 6), (5, 1, 6, 4), (2, 2, 2, 2),
+              (150, 8, 16, 16)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 5, size=2))
+               + tuple(2 * int(v) for v in rng.integers(1, 5, size=2))
+               for _ in range(20)]
+    zeros_of_both_signs = 0
+    for shape in shapes:
+        values = _tied_values(rng, shape)
+        windows = values.reshape(shape[0], shape[1], shape[2] // 2, 2,
+                                 shape[3] // 2, 2)
+        negative_zero = (windows == 0) & np.signbit(windows)
+        positive_zero = (windows == 0) & ~negative_zero
+        zeros_of_both_signs += int((positive_zero.any(axis=(3, 5))
+                                    & negative_zero.any(axis=(3, 5))).sum())
+        pooled = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+        adjoint = _tied_values(rng, pooled)
+        # the adjoint's layout differs from the input's in every case
+        for x_layout, g_layout in zip(LAYOUTS, ["nhwc", "cnhw", "nchw"]):
+            data = LAYOUTS[x_layout](values)
+            g = LAYOUTS[g_layout](adjoint)
+            for tracked in (False, True):
+                got = _pool(ops.maxpool2, data, tracked, g)
+                want = _pool(_reference_maxpool2, data, tracked, g)
+                for label, a, e in zip(("output", "input gradient"), got, want):
+                    what = (f"{shape} {x_layout} input, {g_layout} adjoint, "
+                            f"tracked={tracked}: {label}")
+                    if e is None:
+                        assert a is None, what
+                        continue
+                    assert a.tobytes() == e.tobytes(), what
+                    assert a.strides == e.strides, what
+    assert zeros_of_both_signs > 100
+
+
+def test_maxpool2_keeps_a_nan_only_when_first_in_its_window():
+    # A Tensor is checked finite when it is built, so a NaN can reach maxpool2
+    # only if it is written into `.data` afterwards. The old op's `argmax`
+    # picked such a NaN and its output check raised. The strided-view op
+    # compares with `>`, which a NaN never wins: it is kept (and the output
+    # check raises) only when it is the first element of its window;
+    # elsewhere it is dropped and the window's maximum of the rest comes out.
+    x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
+    x.data[0, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        ops.maxpool2(x)
+    x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
+    x.data[0, 0, 0, 1] = np.nan
+    assert ops.maxpool2(x).data.tolist() == [[[[3.0]]]]
+
+
+def _inject(x, value):
+    """Identity whose backward hands `value` upstream as every adjoint
+    entry: a non-finite adjoint fed into the op that produced `x`."""
+    out = Tensor(x.data.copy())
+    ops._record(out, (x,), lambda g: (np.full(x.data.shape, value),))
+    return out
+
+
+def _graph_under(op_name, w, b):
+    """A small graph whose last op is `op_name`; every path back reaches the
+    Parameters w (3, 4) and b (3,)."""
+    x = Tensor(np.linspace(-1.0, 1.0, 8).reshape(2, 4))
+    h = ops.linear(x, w, b)                                   # (2, 3)
+    if op_name == "linear":
+        return h
+    if op_name == "conv2d":
+        image = Tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 1, 4, 4))
+        return ops.conv2d(image, ops.reshape(w, (3, 1, 2, 2)), b)
+    if op_name == "conv1d":
+        signal = Tensor(np.linspace(-1.0, 1.0, 14).reshape(2, 1, 7))
+        return ops.conv1d(signal, ops.reshape(w, (3, 1, 4)), b, stride=2)
+    if op_name == "maxpool2":
+        image = Tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 1, 4, 4))
+        return ops.maxpool2(ops.conv2d(image, ops.reshape(w, (3, 1, 2, 2)), b))
+    if op_name in ("relu", "sigmoid", "softmax"):
+        return getattr(ops, op_name)(h)
+    if op_name == "concat":
+        return ops.concat([h, ops.scale(h, 2.0)])
+    if op_name == "reshape":
+        return ops.reshape(h, (3, 2))
+    if op_name in ("add", "mul"):
+        return getattr(ops, op_name)(h, ops.sigmoid(h))
+    if op_name == "scale":
+        return ops.scale(h, 0.5)
+    if op_name == "tsum":
+        return ops.tsum(h)
+    if op_name == "cross_entropy":
+        return ops.cross_entropy(ops.softmax(h), np.array([0, 2]))
+    if op_name == "binary_cross_entropy":
+        p = ops.sigmoid(ops.reshape(h, (6,)))
+        return ops.binary_cross_entropy(p, np.array([0, 1, 1, 0, 1, 0]))
+    if op_name == "row_entropy_mean":
+        return ops.row_entropy_mean(ops.softmax(h))
+    raise AssertionError(op_name)
+
+
+OPS_WITH_A_BACKWARD = ["linear", "conv2d", "conv1d", "relu", "sigmoid",
+                       "softmax", "concat", "reshape", "maxpool2", "add",
+                       "mul", "scale", "tsum", "cross_entropy",
+                       "binary_cross_entropy", "row_entropy_mean"]
+
+
+# The injected values make numpy warn inside the backward closures; the test
+# is about the error the engine raises, so the warnings are not errors here.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("op_name", OPS_WITH_A_BACKWARD)
+def test_non_finite_adjoint_reaches_the_gradient_check(op_name, value,
+                                                       optimizer):
+    # Intermediate adjoints are not checked; the non-finite adjoint fed into
+    # the op must still reach a Parameter gradient and fail there. The failed
+    # pass sets no gradient, so a following optimizer step refuses to run
+    # and no parameter moves.
+    w = Parameter(np.linspace(-0.5, 0.5, 12).reshape(3, 4))
+    b = Parameter(np.array([0.1, -0.2, 0.3]))
+    before = [w.data.copy(), b.data.copy()]
+    state = AdamState([w, b])
+    with Tape() as tape:
+        y = _inject(_graph_under(op_name, w, b), value)
+        loss = y if y.data.size == 1 else ops.tsum(y)
+    with pytest.raises(NonFiniteError, match="non-finite values in gradient"):
+        tape.backward(loss)
+    assert w.grad is None and b.grad is None
+    with pytest.raises(TypeError):
+        if optimizer == "sgd":
+            sgd_step([w, b], 0.1)
+        else:
+            adam_step([w, b], state, 0.001)
+    assert state.t == 0
+    assert np.array_equal(w.data, before[0]) and np.array_equal(b.data, before[1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_relu_on_a_tape_still_raises_on_a_negative_infinite_input():
+    # relu maps -inf to 0, so only the check on linear's output, made when
+    # the op runs, can see this overflow; a check deferred to the loss or the
+    # gradients would pass it.
+    x = Tensor(np.array([[1e308, 1e308]]))
+    w = Parameter(np.array([[-1e308, -1e308]]))
+    b = Parameter(np.zeros(1))
+    assert np.maximum(x.data @ w.data.T, 0.0).tolist() == [[0.0]]
+    with pytest.raises(NonFiniteError, match="non-finite values in tensor data"):
+        with Tape():
+            ops.relu(ops.linear(x, w, b))
