@@ -1,7 +1,7 @@
-"""Task-side losses and scores: prediction entropy, the two entropy
-regularized losses, task accuracy, and the accuracy-to-attackability score
-used to rank candidate topologies. The losses take the entropy weight `beta`
-and the score the exponent `lam` as plain numbers; `RunConfig` checks both."""
+"""Task-side losses and scores: the two entropy regularized losses, task
+accuracy, and the accuracy-to-attackability score used to rank candidate
+topologies. The losses take the entropy weight `beta` and the score the
+exponent `lam` as plain numbers; `RunConfig` checks both."""
 
 from __future__ import annotations
 
@@ -11,14 +11,6 @@ from .models import posteriors
 from .numcore import Tensor, ops
 
 VARIANTS = ("none", "re1", "re2")
-
-
-def entropy(probability_row: np.ndarray) -> float:
-    """-sum p_i ln(max(p_i, 1e-12)) of one distribution row, natural log."""
-    p = np.asarray(probability_row, dtype=np.float64)
-    if p.ndim != 1 or p.min() < 0 or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("entropy expects one probability row summing to 1")
-    return float(-(p * np.log(np.clip(p, ops.CLAMP, 1.0))).sum())
 
 
 def loss_re1(probabilities: Tensor, labels, beta: float) -> Tensor:

@@ -11,7 +11,6 @@ black-box stream consumes posteriors as-is.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -75,9 +74,6 @@ class SparseModel(Sequential):
         head = self.layers.index(self.last_weight_layer())
         hidden = Sequential(self.layers[:head])(x)
         return Sequential(self.layers[head:])(hidden).data, hidden.data
-
-    def clone(self) -> "SparseModel":
-        return copy.deepcopy(self)
 
 
 def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> SparseModel:

@@ -129,7 +129,17 @@ def softmax(x: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2-D correlation, stride 1, "same" padding (an even kernel pads one more
-    row and column after than before). x (n, ci, H, W), w (co, ci, kh, kw)."""
+    row and column after than before). x (n, ci, H, W), w (co, ci, kh, kw).
+
+    The (n, H, W, ci·kh·kw) im2col matrix lives only while it is used: the
+    backward closure keeps the padded input, not the matrix, and builds the
+    matrix again for the weight gradient. The input adjoint is summed one
+    kernel offset at a time, as `(ci, co) @ (co, n·H·W)` products, so no
+    column gradient as large as the matrix is built either. Each product
+    holds the same dot products as the matching rows of one product over all
+    offsets; BLAS may pick another kernel for the smaller shape, so on some
+    shapes the input adjoint can differ in its last bits from the one-product
+    form."""
     n, ci, height, width = x.data.shape
     co, ci_w, kh, kw = w.data.shape
     if ci_w != ci:
@@ -137,24 +147,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ph0, pw0 = (kh - 1) // 2, (kw - 1) // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph0, kh - 1 - ph0), (pw0, kw - 1 - pw0)))
 
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n, height, width, ci * kh * kw)
-    w_mat = w.data.reshape(co, -1)
-    out_data = np.einsum("nhwk,ok->nohw", cols, w_mat, optimize=True)
+    def im2col():
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        return cols.reshape(n, height, width, ci * kh * kw)
+
+    out_data = np.einsum("nhwk,ok->nohw", im2col(), w.data.reshape(co, -1),
+                         optimize=True)
     out = Tensor(out_data + b.data[None, :, None, None])
 
     def fn(g):
         gb = g.sum(axis=(0, 2, 3))
-        gw = np.einsum("nohw,nhwk->ok", g, cols, optimize=True).reshape(w.data.shape)
+        gw = np.einsum("nohw,nhwk->ok", g, im2col(), optimize=True).reshape(w.data.shape)
         if not x.needs_grad:
             return None, gw, gb
-        gcols = np.einsum("nohw,ok->nhwk", g, w_mat, optimize=True)
-        gcols = gcols.reshape(n, height, width, ci, kh, kw)
+        g_mat = g.transpose(1, 0, 2, 3).reshape(co, -1)
+        taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, co, ci)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + height, j:j + width] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                part = (taps[i, j].T @ g_mat).reshape(ci, n, height, width)
+                gxp[:, :, i:i + height, j:j + width] += part.transpose(1, 0, 2, 3)
         return gxp[:, :, ph0:ph0 + height, pw0:pw0 + width], gw, gb
 
     _record(out, (x, w, b), fn)

@@ -104,6 +104,11 @@ class Tape:
         recorded ops in reverse. Each Parameter reached gets `grad` set to its
         summed adjoint; no other tensor keeps one.
 
+        Each node is popped off the tape as the walk reaches it, so the tape
+        releases the activations and buffers its backward closure holds
+        during the walk, and a consumed tape holds nothing. A second call
+        still raises GraphError.
+
         Finite checks: each Parameter's summed adjoint is checked once, after
         the walk, and `grad` is set only if every one is finite (otherwise
         NonFiniteError, and no gradient of this pass is set). Intermediate
@@ -124,7 +129,9 @@ class Tape:
 
         adjoints = {id(loss): np.ones_like(loss.data)}
         reached = {}
-        for out, parents, fn in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, parents, fn = nodes.pop()
             g = adjoints.pop(id(out), None)
             if g is None:
                 continue

@@ -176,15 +176,18 @@ def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
     return updated, notes
 
 
+def rank(score: CandidateScore) -> tuple:
+    """Selection order, lowest first: highest TM-score; ties prefer lower
+    attack accuracy, then the fixed strategy order (magnitude before
+    threshold, gradient before random)."""
+    return (-score.tm_score, score.mia_acc, score.pair.prune, score.pair.grow)
+
+
 def select_best(scores: list) -> StrategyPair:
-    """Highest TM-score wins; ties prefer lower attack accuracy, then the
-    fixed strategy order (magnitude before threshold, gradient before
-    random)."""
+    """The pair of the first score that `rank` puts lowest."""
     if not scores:
         raise ValueError("no candidate scores to select from")
-    ranked = min(scores, key=lambda s: (-s.tm_score, s.mia_acc,
-                                        s.pair.prune, s.pair.grow))
-    return ranked.pair
+    return min(scores, key=rank).pair
 
 
 def _probe_gradients(model, probe_x, probe_y, config: RunConfig) -> dict:
@@ -288,7 +291,10 @@ def run_compression(config: RunConfig,
             epoch_base=cumulative + span_epochs)
         job_rngs = [seq.next() for _ in candidates]
 
-        scores, tuned_attackers = [], []
+        # Only the leading candidate's tuned attacker is kept: each one holds
+        # the attacker's weights and Adam moments, and all but the selected
+        # one are dropped anyway.
+        scores, leader = [], None
         for (pair, cand), stream in zip(candidates, job_rngs):
             tuned = finetune_attacker(attacker, cand, splits,
                                       config.attacker_finetune_epochs,
@@ -299,12 +305,12 @@ def run_compression(config: RunConfig,
             gain = mia_gain(tuned, cand, splits)
             tm = tm_score(task, max(mia, 1e-6), config.lam)
             scores.append(CandidateScore(pair, task, mia, tm, gain))
-            tuned_attackers.append(tuned)
+            if leader is None or rank(scores[-1]) < rank(leader[0]):
+                leader = (scores[-1], cand, tuned)
+            del tuned
 
         selected = select_best(scores)
-        chosen = next(i for i, s in enumerate(scores) if s.pair == selected)
-        model = candidates[chosen][1]
-        attacker = tuned_attackers[chosen]
+        _, model, attacker = leader
         if active_count(model) != initial_active:
             raise RuntimeError("active-weight count drifted during the "
                                "sparse update; invariant violated")

@@ -100,11 +100,6 @@ def active_count(model) -> int:
     return int(sum(np.count_nonzero(l.mask) for l in model.masked_layers()))
 
 
-def sparsity(model) -> float:
-    """Kept fraction: sum_k ||M^k||_0 / sum_k size(W^k), maskable layers only."""
-    return active_count(model) / sum(l.w.data.size for l in model.masked_layers())
-
-
 def er_initialize(model, omega: float, rng: np.random.Generator):
     """Draw per-layer Bernoulli masks at the calibrated eps, redraw when the
     realized count misses omega * total by over 10% (by over 1 if no count

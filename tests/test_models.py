@@ -16,7 +16,7 @@ from sparseguard.models import (
 )
 from sparseguard.numcore import Tape, Tensor, ops
 from sparseguard.numcore.layers import Sequential, Weighted
-from sparseguard.sparse import active_count, sparsity
+from sparseguard.sparse import active_count
 
 MLP_SPEC = TargetSpec(kind="mlp", input_shape=(64,), hidden=(32, 16), classes=4)
 
@@ -24,7 +24,7 @@ MLP_SPEC = TargetSpec(kind="mlp", input_shape=(64,), hidden=(32, 16), classes=4)
 def test_build_target_dense_weight_count():
     model = build_target(MLP_SPEC, 1.0, np.random.default_rng(0))
     assert active_count(model) == 64 * 32 + 32 * 16 + 16 * 4  # 2624
-    assert sparsity(model) == 1.0
+    assert all(np.all(l.mask == 1.0) for l in model.masked_layers())
 
 
 def test_build_target_sparse_count_after_trim():

@@ -1,9 +1,13 @@
 """Outer-loop tests: config validation, training phase, candidates, selection,
 and the full compress-attack-test-select cycle at toy scale."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from sparseguard import orchestrator
 from sparseguard.data import load_dataset
 from sparseguard.models import TargetSpec, build_target
 from sparseguard.numcore import NonFiniteError, Tape
@@ -299,6 +303,53 @@ def test_run_compression_small_end_to_end():
         assert chosen.tm_score == best
         assert r.wall_time_s == 0.0
     assert active_count(model) == initial
+
+
+@pytest.mark.parametrize("scoring", ["scored", "tied", "patched rank"])
+def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
+                                                                scoring):
+    pairs = ALL_PAIRS
+    if scoring == "tied":
+        # every candidate scores alike, so the strategy order decides; the
+        # reversed pair list puts its winner last
+        monkeypatch.setattr(orchestrator, "task_accuracy", lambda *a: 0.5)
+        monkeypatch.setattr(orchestrator, "mia_accuracy", lambda *a: 0.5)
+        pairs = tuple(reversed(ALL_PAIRS))
+    elif scoring == "patched rank":
+        # the loop must adopt by the same ranking select_best applies
+        favourite = StrategyPair("threshold", "gradient")
+        monkeypatch.setattr(orchestrator, "rank",
+                            lambda s: (s.pair != favourite, s.pair.tag()))
+    calls = []   # (parent attacker, weak reference to its tuned copy)
+    alive = []   # earlier tuned copies of the same parent alive at each call
+    real = orchestrator.finetune_attacker
+
+    def spy(attacker, *args, **kwargs):
+        gc.collect()
+        alive.append(sum(parent is attacker and ref() is not None
+                         for parent, ref in calls))
+        tuned = real(attacker, *args, **kwargs)
+        calls.append((attacker, weakref.ref(tuned)))
+        return tuned
+
+    monkeypatch.setattr(orchestrator, "finetune_attacker", spy)
+    config = toy_config(inner_iterations=24, total_epochs=12.0, pairs=pairs)
+    _, reports = run_compression(config, toy_data(seed=6, n_train=256,
+                                                  n_test=120))
+    assert len(reports) >= 2 and len(calls) == 4 * len(reports)
+    assert max(alive) == 1
+    # each iteration tunes copies of the attacker the one before adopted
+    for i, report in enumerate(reports[:-1]):
+        adopted = calls[4 * (i + 1)][0]
+        tuned = [ref() for _, ref in calls[4 * i:4 * i + 4]]
+        k = next(k for k, t in enumerate(tuned) if t is adopted)
+        assert report.candidates[k].pair == report.selected
+        assert report.selected == select_best(list(report.candidates))
+    if scoring == "tied":
+        assert {r.selected for r in reports} == {StrategyPair("magnitude",
+                                                              "gradient")}
+    elif scoring == "patched rank":
+        assert {r.selected for r in reports} == {favourite}
 
 
 def test_run_compression_single_span_budget():

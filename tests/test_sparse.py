@@ -22,8 +22,12 @@ from sparseguard.sparse import (
     prune_rate_at,
     prune_threshold,
     sparse_update,
-    sparsity,
 )
+
+
+def sparsity(model) -> float:
+    """Kept fraction: sum_k ||M^k||_0 / sum_k size(W^k)."""
+    return active_count(model) / sum(l.w.data.size for l in model.masked_layers())
 
 
 class Net:
