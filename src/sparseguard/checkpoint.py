@@ -91,8 +91,7 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
             for p in params:
                 fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
             for m in masks:
-                bits = np.packbits(m.astype(np.uint8).reshape(-1),
-                                   bitorder="little")
+                bits = np.packbits(m.reshape(-1), bitorder="little")
                 fh.write(bits.tobytes())
         os.replace(tmp, path)
     finally:
@@ -143,14 +142,14 @@ def load_checkpoint(path) -> Checkpoint:
             raw = _read_exact(fh, (size + 7) // 8, "masks")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                  count=size, bitorder="little")
-            layer.mask[...] = bits.reshape(layer.mask.shape).astype(np.float64)
+            layer.mask[...] = bits.reshape(layer.mask.shape)
             total_active += int(bits.sum())
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
     if total_active != header.active_count:
         raise ValueError("mask popcount does not match recorded active count")
     for k, layer in enumerate(layers):
-        if np.any(layer.w.data[layer.mask == 0.0]):
+        if np.any(layer.w.data[~layer.mask]):
             raise ValueError(f"checkpoint masked layer {k} holds a non-zero "
                              f"weight at a pruned position")
     model.omega = float(header.omega)

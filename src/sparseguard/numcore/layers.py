@@ -2,7 +2,7 @@
 
 Stateless layers are the op functions themselves (`ops.relu`, `ops.softmax`,
 `ops.flatten`, `ops.maxpool2`): a `Sequential` calls every item on the
-running tensor. A masked layer stores its 0/1 float mask on the weight
+running tensor. A masked layer stores its bool mask on the weight
 Parameter itself, so optimizers and sparse bookkeeping see one source of
 truth; a pruned weight holds ±0 (see `Parameter`), so no op takes the mask.
 Biases are always dense.
@@ -24,7 +24,8 @@ class Weighted:
     def __init__(self, shape: tuple, rng: np.random.Generator,
                  weight_scale: float, masked: bool = False):
         w = rng.normal(0.0, weight_scale, shape)
-        self.w = Parameter(w, mask=np.ones(shape) if masked else None)
+        self.w = Parameter(w, mask=np.ones(shape, dtype=bool) if masked
+                           else None)
         self.b = Parameter(np.zeros(shape[0]))
 
     @property

@@ -1,7 +1,8 @@
 """Optimizers: plain SGD and Adam.
 
-Both steppers honor parameter masks: the update is gated so mask-inactive
-weights stay exactly ±0 however many steps run (the rule of `Parameter`).
+Both steppers honor parameter masks: the update is multiplied by the bool
+mask, so mask-inactive weights stay exactly ±0 however many steps run (the
+rule of `Parameter`).
 Each step consumes `grad` (None afterwards), so a step with no backward pass
 before it fails.
 """

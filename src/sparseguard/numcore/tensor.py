@@ -59,17 +59,30 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor. `grad` holds d(loss)/d(parameter) from the last
     backward pass until an optimizer step consumes it (None otherwise). An
-    optional 0/1 mask (same shape) sets the sparse topology by one rule: a
+    optional mask (same shape) sets the sparse topology by one rule: a
     weight whose mask entry is 0 holds ±0. The initializer, prune/grow and
     the optimizers keep it, and checkpoint loading checks it; no op reads the
-    mask, so gradients stay dense, pruned positions included."""
+    mask, so gradients stay dense, pruned positions included.
+
+    The mask is stored as a bool array, one byte per entry: a float64 value
+    times a bool has the bits of the same value times 1.0 or 0.0. A bool
+    mask is kept as given; any other mask must hold only 0 and 1 and is
+    stored as a bool copy."""
 
     __slots__ = ("mask", "grad")
 
     def __init__(self, data, mask: np.ndarray | None = None):
         super().__init__(data)
-        if mask is not None and mask.shape != self.data.shape:
-            raise ValueError("mask shape must match parameter shape")
+        if mask is not None:
+            mask = np.asarray(mask)
+            if mask.shape != self.data.shape:
+                raise ValueError("mask shape must match parameter shape")
+            if mask.dtype != bool:
+                if not np.all((mask == 0) | (mask == 1)):
+                    raise ValueError(f"mask of the parameter of shape "
+                                     f"{self.data.shape} must hold only 0 "
+                                     f"and 1")
+                mask = mask.astype(bool)
         self.mask = mask
         self.grad = None
         self.needs_grad = True

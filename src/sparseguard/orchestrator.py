@@ -18,6 +18,7 @@ import numpy as np
 
 from .attack import (
     MODES,
+    AttackSplits,
     extract_examples,
     finetune_attacker,
     mia_accuracy,
@@ -118,7 +119,7 @@ def learning_rate_at(config: RunConfig, epoch: int) -> float:
 
 def train_phase(model, train_data: LabeledSet, iterations: int,
                 config: RunConfig, rng: np.random.Generator, *,
-                epoch_base: float = 0.0, loss_trace: list | None = None):
+                epoch_base: float = 0.0):
     """Run `iterations` optimizer steps of the configured loss and rate
     schedule, `epoch_base` epochs into the run, over shuffled full batches;
     the model's masks gate every update."""
@@ -141,8 +142,6 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
                                      config.variant, config.beta)
             tape.backward(loss)
             sgd_step(params, lr)
-            if loss_trace is not None:
-                loss_trace.append(float(loss.data))
             done += 1
     return model
 
@@ -191,15 +190,22 @@ def select_best(scores: list) -> StrategyPair:
 
 
 def _probe_gradients(model, probe_x, probe_y, config: RunConfig) -> dict:
+    """The dense loss gradient of each masked layer's weight, keyed by layer
+    index. The model keeps no gradient afterwards, so the deep copies the
+    sparse update makes do not carry one."""
     with Tape() as tape:
         probs = model(probe_x)
         loss = training_loss(probs, probe_y, config.variant, config.beta)
     tape.backward(loss)
-    return {k: layer.w.grad for k, layer in enumerate(model.masked_layers())}
+    gradients = {k: layer.w.grad
+                 for k, layer in enumerate(model.masked_layers())}
+    for p in model.params():
+        p.grad = None
+    return gradients
 
 
 def _pooled_tau(model, prune_rate: float) -> float:
-    mags = [np.abs(l.w.data.reshape(-1)[l.mask.reshape(-1) == 1.0])
+    mags = [np.abs(l.w.data.reshape(-1)[l.mask.reshape(-1)])
             for l in model.masked_layers()]
     pooled = np.concatenate(mags)
     return float(np.quantile(pooled, prune_rate))
@@ -229,6 +235,89 @@ def check_dataset_fits(target: TargetSpec,
         raise ValueError("dataset labels exceed the target class count")
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What every outer iteration of one run reads and none changes."""
+
+    config: RunConfig
+    train_set: LabeledSet
+    splits: AttackSplits
+    val_set: LabeledSet
+    probe_x: np.ndarray
+    probe_y: np.ndarray
+    seq: RngTree
+    planned: int
+    span_epochs: float
+    per_iteration_epochs: float
+    initial_active: int
+
+
+def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
+                   cumulative: float):
+    """One outer iteration; returns (adopted model, its tuned attacker, tau,
+    IterationReport). Everything else the iteration builds (the candidates,
+    attack examples, probe gradients and scores) is freed when it returns,
+    before the next iteration builds its own."""
+    config, seq = run.config, run.seq
+    started = time.perf_counter()
+
+    train_phase(model, run.train_set, config.inner_iterations, config,
+                seq.next(), epoch_base=cumulative)
+    gradients = _probe_gradients(model, run.probe_x, run.probe_y, config)
+    rate = prune_rate_at(iteration - 1, run.planned, config.prune_rate_start,
+                         config.prune_rate_end)
+    if tau is None:
+        tau = _pooled_tau(model, rate)
+
+    examples, _ = extract_examples(model, run.splits, config.attacker_mode)
+    if attacker is None:
+        attacker = build_attacker(config.attacker_mode, model, seq.next())
+        epochs = config.attacker_epochs_first
+    else:
+        epochs = config.attacker_epochs_topup
+    train_attacker(attacker, examples, epochs=epochs, rng=seq.next(),
+                   learning_rate=config.attacker_learning_rate)
+
+    candidates, notes = generate_candidates(
+        model, config, seq.next(), gradients=gradients,
+        prune_rate=rate, tau=tau, train_data=run.train_set,
+        epoch_base=cumulative + run.span_epochs)
+    job_rngs = [seq.next() for _ in candidates]
+
+    # Only the leading candidate's tuned attacker is kept: each one holds
+    # the attacker's weights and Adam moments, and all but the selected
+    # one are dropped anyway.
+    scores, leader = [], None
+    for (pair, cand), stream in zip(candidates, job_rngs):
+        tuned = finetune_attacker(attacker, cand, run.splits,
+                                  config.attacker_finetune_epochs,
+                                  rng=stream,
+                                  learning_rate=config.attacker_learning_rate)
+        task = task_accuracy(cand, run.val_set)
+        mia = mia_accuracy(tuned, cand, run.splits)
+        gain = mia_gain(tuned, cand, run.splits)
+        tm = tm_score(task, max(mia, 1e-6), config.lam)
+        scores.append(CandidateScore(pair, task, mia, tm, gain))
+        if leader is None or rank(scores[-1]) < rank(leader[0]):
+            leader = (scores[-1], cand, tuned)
+        del tuned
+
+    selected = select_best(scores)
+    _, model, attacker = leader
+    if active_count(model) != run.initial_active:
+        raise RuntimeError("active-weight count drifted during the "
+                           "sparse update; invariant violated")
+
+    wall = 0.0 if config.deterministic else time.perf_counter() - started
+    report = IterationReport(
+        iteration=iteration, candidates=tuple(scores),
+        selected=selected,
+        cumulative_epochs=cumulative + run.per_iteration_epochs,
+        wall_time_s=wall, active_weights=run.initial_active,
+        prune_rate=rate, tau=tau, notes=tuple(notes))
+    return model, attacker, tau, report
+
+
 def run_compression(config: RunConfig,
                     datasets: tuple[LabeledSet, LabeledSet],
                     report_sink=None, iteration_callback=None):
@@ -248,15 +337,18 @@ def run_compression(config: RunConfig,
     val_set = _validation_slice(splits.known_test, config.validation_fraction,
                                 rng_val)
     model = build_target(config.target, config.omega, rng_init)
-    initial_active = active_count(model)
 
     n = len(train_set)
-    steps_per_epoch = _steps_per_epoch(n, config.batch_size)
-    span_epochs = config.inner_iterations / steps_per_epoch
+    span_epochs = config.inner_iterations / _steps_per_epoch(
+        n, config.batch_size)
     per_iteration_epochs = span_epochs + config.candidate_finetune_epochs
-    planned = max(1, math.ceil(config.total_epochs / per_iteration_epochs))
     probe = min(config.probe_size, n)
-    probe_x, probe_y = train_set.x[:probe], train_set.y[:probe]
+    run = _Run(
+        config=config, train_set=train_set, splits=splits, val_set=val_set,
+        probe_x=train_set.x[:probe], probe_y=train_set.y[:probe], seq=seq,
+        planned=max(1, math.ceil(config.total_epochs / per_iteration_epochs)),
+        span_epochs=span_epochs, per_iteration_epochs=per_iteration_epochs,
+        initial_active=active_count(model))
 
     attacker = None
     tau = config.tau
@@ -264,72 +356,17 @@ def run_compression(config: RunConfig,
     reports: list[IterationReport] = []
     best_tm = -math.inf
     stall = 0
-    for iteration in range(1, planned + 1):
-        started = time.perf_counter()
-
-        train_phase(model, train_set, config.inner_iterations, config,
-                    seq.next(), epoch_base=cumulative)
-        gradients = _probe_gradients(model, probe_x, probe_y, config)
-        rate = prune_rate_at(iteration - 1, planned,
-                             config.prune_rate_start,
-                             config.prune_rate_end)
-        if tau is None:
-            tau = _pooled_tau(model, rate)
-
-        examples, _ = extract_examples(model, splits, config.attacker_mode)
-        if attacker is None:
-            attacker = build_attacker(config.attacker_mode, model, seq.next())
-            epochs = config.attacker_epochs_first
-        else:
-            epochs = config.attacker_epochs_topup
-        train_attacker(attacker, examples, epochs=epochs, rng=seq.next(),
-                       learning_rate=config.attacker_learning_rate)
-
-        candidates, notes = generate_candidates(
-            model, config, seq.next(), gradients=gradients,
-            prune_rate=rate, tau=tau, train_data=train_set,
-            epoch_base=cumulative + span_epochs)
-        job_rngs = [seq.next() for _ in candidates]
-
-        # Only the leading candidate's tuned attacker is kept: each one holds
-        # the attacker's weights and Adam moments, and all but the selected
-        # one are dropped anyway.
-        scores, leader = [], None
-        for (pair, cand), stream in zip(candidates, job_rngs):
-            tuned = finetune_attacker(attacker, cand, splits,
-                                      config.attacker_finetune_epochs,
-                                      rng=stream,
-                                      learning_rate=config.attacker_learning_rate)
-            task = task_accuracy(cand, val_set)
-            mia = mia_accuracy(tuned, cand, splits)
-            gain = mia_gain(tuned, cand, splits)
-            tm = tm_score(task, max(mia, 1e-6), config.lam)
-            scores.append(CandidateScore(pair, task, mia, tm, gain))
-            if leader is None or rank(scores[-1]) < rank(leader[0]):
-                leader = (scores[-1], cand, tuned)
-            del tuned
-
-        selected = select_best(scores)
-        _, model, attacker = leader
-        if active_count(model) != initial_active:
-            raise RuntimeError("active-weight count drifted during the "
-                               "sparse update; invariant violated")
-
-        cumulative += per_iteration_epochs
-        wall = 0.0 if config.deterministic else (time.perf_counter()
-                                                 - started)
-        report = IterationReport(
-            iteration=iteration, candidates=tuple(scores),
-            selected=selected, cumulative_epochs=cumulative,
-            wall_time_s=wall, active_weights=initial_active,
-            prune_rate=rate, tau=tau, notes=tuple(notes))
+    for iteration in range(1, run.planned + 1):
+        model, attacker, tau, report = _run_iteration(
+            run, iteration, model, attacker, tau, cumulative)
+        cumulative = report.cumulative_epochs
         reports.append(report)
         if report_sink is not None:
             report_sink(report)
         if iteration_callback is not None:
             iteration_callback(report, model)
 
-        best_this = max(s.tm_score for s in scores)
+        best_this = max(s.tm_score for s in report.candidates)
         if best_this >= best_tm + config.early_stop_delta:
             stall = 0
         else:

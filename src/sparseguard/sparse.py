@@ -3,7 +3,7 @@ density budget, sparsity accounting, the two pruning and two growth
 strategies, and the count-preserving dynamic update.
 
 A "model" here is anything with masked_layers() returning layers whose .w is
-a Parameter carrying a 0/1 float mask of the same shape. Prune and grow act
+a Parameter carrying a bool mask of the same shape. Prune and grow act
 on one layer at a time and address its positions as flat row-major indices
 into that layer's weight tensor. Every writer here keeps the sparse-topology
 rule (see `numcore.Parameter`): a weight whose mask entry is 0 holds ±0,
@@ -119,7 +119,7 @@ def er_initialize(model, omega: float, rng: np.random.Generator):
     target = math.floor(expected)
 
     for attempt in range(20):
-        masks = [(rng.random(l.w.data.shape) < p).astype(np.float64)
+        masks = [rng.random(l.w.data.shape) < p
                  for l, p in zip(layers, probs)]
         realized = sum(int(m.sum()) for m in masks)
         if abs(realized - expected) <= tolerance:
@@ -131,11 +131,11 @@ def er_initialize(model, omega: float, rng: np.random.Generator):
     flat = np.concatenate([m.reshape(-1) for m in masks])
     diff = realized - target
     if diff > 0:
-        candidates = np.flatnonzero(flat == 1.0)
-        flat[rng.choice(candidates, size=diff, replace=False)] = 0.0
+        candidates = np.flatnonzero(flat)
+        flat[rng.choice(candidates, size=diff, replace=False)] = False
     elif diff < 0:
-        candidates = np.flatnonzero(flat == 0.0)
-        flat[rng.choice(candidates, size=-diff, replace=False)] = 1.0
+        candidates = np.flatnonzero(~flat)
+        flat[rng.choice(candidates, size=-diff, replace=False)] = True
     bounds = np.cumsum([m.size for m in masks])[:-1]
     for layer, part, (_, fan_in) in zip(layers, np.split(flat, bounds), dims):
         mask = part.reshape(layer.w.data.shape)
@@ -152,7 +152,7 @@ def _flat_views(layer):
     return layer.w.data.reshape(-1), layer.w.mask.reshape(-1)
 
 
-def _set_mask(layer, chosen: np.ndarray, value: float) -> np.ndarray:
+def _set_mask(layer, chosen: np.ndarray, value: bool) -> np.ndarray:
     # pruned weights are dead and grown weights start at 0
     w, m = _flat_views(layer)
     m[chosen] = value
@@ -164,11 +164,11 @@ def prune_magnitude(layer, count: int) -> np.ndarray:
     """Deactivate the count smallest-|w| active weights of a layer; ties go
     to the lowest flat index. Returns the removed flat indices, ascending."""
     w, m = _flat_views(layer)
-    act = np.flatnonzero(m == 1.0)
+    act = np.flatnonzero(m)
     if count > act.size:
         raise ValueError(f"cannot prune {count} of {act.size} active weights")
     order = np.lexsort((act, np.abs(w[act])))
-    return _set_mask(layer, np.sort(act[order[:count]]), 0.0)
+    return _set_mask(layer, np.sort(act[order[:count]]), False)
 
 
 def prune_threshold(layer, tau: float) -> np.ndarray:
@@ -177,7 +177,7 @@ def prune_threshold(layer, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError("tau must be non-negative")
     w, m = _flat_views(layer)
-    return _set_mask(layer, np.flatnonzero((m == 1.0) & (np.abs(w) < tau)), 0.0)
+    return _set_mask(layer, np.flatnonzero(m & (np.abs(w) < tau)), False)
 
 
 def grow_gradient(layer, gradient, pool: np.ndarray, count: int) -> np.ndarray:
@@ -186,14 +186,15 @@ def grow_gradient(layer, gradient, pool: np.ndarray, count: int) -> np.ndarray:
     lowest flat index. Returns the grown flat indices."""
     g = np.asarray(gradient).reshape(-1)
     order = np.lexsort((pool, -np.abs(g[pool])))
-    return _set_mask(layer, pool[order[:count]], 1.0)
+    return _set_mask(layer, pool[order[:count]], True)
 
 
 def grow_random(layer, pool: np.ndarray, count: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Activate count positions of pool (ascending inactive flat indices),
     uniformly without replacement. Returns the grown flat indices."""
-    return _set_mask(layer, rng.choice(pool, size=count, replace=False), 1.0)
+    return _set_mask(layer, rng.choice(pool, size=count, replace=False),
+                     True)
 
 
 def sparse_update(model, pair: StrategyPair, prune_rate: float, tau: float,
@@ -217,7 +218,7 @@ def sparse_update(model, pair: StrategyPair, prune_rate: float, tau: float,
     plan = []  # per layer: (active count, pre-prune inactive pool, pruned)
     for k, layer in enumerate(layers):
         act = int(np.count_nonzero(layer.mask))
-        pool = np.flatnonzero(layer.mask.reshape(-1) == 0.0)
+        pool = np.flatnonzero(~layer.mask.reshape(-1))
         if pair.prune == "magnitude":
             pruned = prune_magnitude(
                 layer, max(math.floor(prune_rate * act), int(act > 1)))

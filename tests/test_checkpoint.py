@@ -49,7 +49,8 @@ def test_round_trip_bit_exact_many_models(tmp_path):
         for a, b in zip(model.params(), loaded.model.params()):
             assert a.data.tobytes() == b.data.tobytes()
         for la, lb in zip(model.masked_layers(), loaded.model.masked_layers()):
-            assert np.array_equal(la.mask, lb.mask)
+            assert la.mask.dtype == lb.mask.dtype == bool
+            assert la.mask.tobytes() == lb.mask.tobytes()
         assert active_count(loaded.model) == active_count(model)
         assert loaded.model.omega == model.omega
 

@@ -219,6 +219,23 @@ def test_sgd_respects_mask():
     assert p.data[1] == 0.0
 
 
+def test_parameter_stores_its_mask_as_bool():
+    bool_mask = np.array([True, False])
+    assert Parameter(np.array([0.5, 0.0]), mask=bool_mask).mask is bool_mask
+    p = Parameter(np.array([0.5, 0.0, -0.0]), mask=np.array([1.0, 0.0, 0]))
+    assert p.mask.dtype == bool
+    assert p.mask.tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("entry", [0.5, -1.0, 2.0, np.nan])
+def test_parameter_rejects_a_mask_entry_other_than_0_or_1(entry):
+    # a fractional entry would scale every SGD and Adam update at its position
+    mask = np.ones((2, 3))
+    mask[1, 2] = entry
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        Parameter(np.zeros((2, 3)), mask=mask)
+
+
 def test_adam_first_step():
     p = Parameter(np.array([0.0]))
     state = AdamState([p])

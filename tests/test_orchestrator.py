@@ -22,7 +22,12 @@ from sparseguard.orchestrator import (
     select_best,
     train_phase,
 )
-from sparseguard.sparse import ALL_PAIRS, StrategyPair, active_count
+from sparseguard.sparse import (
+    ALL_PAIRS,
+    StrategyPair,
+    active_count,
+    sparse_update,
+)
 
 
 def toy_config(**overrides) -> RunConfig:
@@ -177,13 +182,20 @@ def test_train_phase_zero_iterations_identity():
         assert p.data.tobytes() == snap.tobytes()
 
 
-def test_train_phase_masks_enforced_and_loss_decreases():
+def test_train_phase_masks_enforced_and_loss_decreases(monkeypatch):
     train, _ = toy_data(seed=1)
     config = toy_config(lr_milestones=())
     model = build_target(config.target, 0.3, np.random.default_rng(1))
     trace = []
-    train_phase(model, train, 120, config, np.random.default_rng(1),
-                loss_trace=trace)
+    real = orchestrator.training_loss
+
+    def spy(*args, **kwargs):
+        loss = real(*args, **kwargs)
+        trace.append(float(loss.data))
+        return loss
+
+    monkeypatch.setattr(orchestrator, "training_loss", spy)
+    train_phase(model, train, 120, config, np.random.default_rng(1))
     assert len(trace) == 120
     assert all(np.isfinite(v) for v in trace)
     ma = np.convolve(trace, np.ones(10) / 10, mode="valid")
@@ -251,6 +263,22 @@ def test_generate_candidates_contract():
             pruned_a = (lp.mask == 1.0) & (la.mask == 0.0)
             pruned_b = (lp.mask == 1.0) & (lb.mask == 0.0)
             assert np.array_equal(pruned_a, pruned_b)
+
+
+def test_probe_pass_leaves_no_gradient_behind():
+    train, _ = toy_data(seed=3)
+    config = toy_config()
+    model = build_target(config.target, 0.3, np.random.default_rng(3))
+    expected = probe_gradients(model, train)
+    grads = orchestrator._probe_gradients(model, train.x[:128],
+                                          train.y[:128], config)
+    assert sorted(grads) == sorted(expected)
+    for k, g in grads.items():
+        assert g.tobytes() == expected[k].tobytes()
+    assert all(p.grad is None for p in model.params())
+    cand = sparse_update(model, ALL_PAIRS[0], 0.2, 1e-4, grads,
+                         np.random.default_rng(3))
+    assert all(p.grad is None for p in cand.params())
 
 
 def test_generate_candidates_discards_degenerate():
@@ -350,6 +378,27 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
                                                               "gradient")}
     elif scoring == "patched rank":
         assert {r.selected for r in reports} == {favourite}
+
+
+def test_run_compression_frees_the_previous_iterations_candidates(
+        monkeypatch):
+    refs = []   # weak references to every candidate generated so far
+    alive = []  # earlier candidates alive as each call starts, bar its parent
+    real = orchestrator.generate_candidates
+
+    def spy(model, *args, **kwargs):
+        alive.append(sum(ref() is not None and ref() is not model
+                         for ref in refs))
+        candidates, notes = real(model, *args, **kwargs)
+        refs.extend(weakref.ref(cand) for _, cand in candidates)
+        return candidates, notes
+
+    monkeypatch.setattr(orchestrator, "generate_candidates", spy)
+    config = toy_config(inner_iterations=24, total_epochs=12.0)
+    _, reports = run_compression(config, toy_data(seed=6, n_train=256,
+                                                  n_test=120))
+    assert len(reports) >= 3 and len(refs) == 4 * len(reports)
+    assert alive == [0] * len(reports)
 
 
 def test_run_compression_single_span_budget():
