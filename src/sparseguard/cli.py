@@ -4,13 +4,13 @@ gradients, and pretty-print report streams."""
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
+from . import pin_heap
 from .attack import (
     MODES,
     attack_outputs,
@@ -32,28 +32,6 @@ from .orchestrator import (
     run_compression,
 )
 from .report import pretty_table, read_report, summary_record, write_record
-
-
-# glibc mallopt parameters
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-
-
-def _pin_heap() -> None:
-    """Keep allocations of up to 32 MiB, glibc's largest mmap threshold on
-    64-bit platforms, on this process's heap, and give freed heap memory
-    back to the system only above 256 MiB. By default glibc maps each block
-    above its mmap threshold (128 KB to start) afresh and unmaps it on
-    free, so the attacker's per-step arrays page-fault on every step. A
-    no-op where the C library has no `mallopt`."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _fail(message: str, code: int) -> int:
@@ -228,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _pin_heap()
+    pin_heap()
     return args.func(args)
 
 

@@ -1,5 +1,9 @@
 """Primitive differentiable ops. Each op computes its output eagerly and,
 when a tape is active, records a closure returning the parents' adjoints.
+A closure captures only the arrays, shapes and flags its backward reads,
+never an input `Tensor`, so an activation nothing downstream reads is freed
+as soon as the forward code drops it. What only a backward reads (`relu`'s
+mask, `maxpool2`'s winner codes) is built only while a tape records.
 The weighted ops (`linear`, `conv2d`, `conv1d`) return None for an input
 whose `needs_grad` is False instead of computing an adjoint nobody reads.
 
@@ -45,20 +49,23 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError("mul requires identical shapes")
-    out = Tensor(a.data * b.data)
-    _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
+    _record(out, (a, b), lambda g: (g * bd, g * ad))
     return out
 
 
 def tsum(x: Tensor) -> Tensor:
+    shape = x.data.shape
     out = Tensor(np.float64(x.data.sum()))
-    _record(out, (x,), lambda g: (np.broadcast_to(g, x.data.shape).copy(),))
+    _record(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
     return out
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    x_shape = x.data.shape
     out = Tensor(x.data.reshape(shape))
-    _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
+    _record(out, (x,), lambda g: (g.reshape(x_shape),))
     return out
 
 
@@ -87,19 +94,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"linear expects x (n, {w.data.shape[1]}), got {x.data.shape}"
         )
-    out = Tensor(x.data @ w.data.T + b.data)
+    xd, need_x = x.data, x.needs_grad
+    out = Tensor(xd @ w.data.T + b.data)
 
     def fn(g):
-        gx = g @ w.data if x.needs_grad else None
-        return gx, g.T @ x.data, g.sum(axis=0)
+        gx = g @ w.data if need_x else None
+        return gx, g.T @ xd, g.sum(axis=0)
 
     _record(out, (x, w, b), fn)
     return out
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0). On a tape it keeps a bool mask of its output, which is
+    `x > 0` (the input is finite), instead of the input."""
     out = Tensor(np.maximum(x.data, 0.0))
-    _record(out, (x,), lambda g: (g * (x.data > 0.0),))
+    if active_tape() is not None:
+        live = out.data > 0.0
+        _record(out, (x,), lambda g: (g * live,))
     return out
 
 
@@ -155,11 +167,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = np.einsum("nhwk,ok->nohw", im2col(), w.data.reshape(co, -1),
                          optimize=True)
     out = Tensor(out_data + b.data[None, :, None, None])
+    need_x = x.needs_grad
 
     def fn(g):
         gb = g.sum(axis=(0, 2, 3))
         gw = np.einsum("nohw,nhwk->ok", g, im2col(), optimize=True).reshape(w.data.shape)
-        if not x.needs_grad:
+        if not need_x:
             return None, gw, gb
         g_mat = g.transpose(1, 0, 2, 3).reshape(co, -1)
         taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # (kh, kw, co, ci)
@@ -190,15 +203,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     w_mat = w.data.reshape(co, -1)
     out_data = np.einsum("nlk,ok->nol", cols, w_mat, optimize=True)
     out = Tensor(out_data + b.data[None, :, None])
+    need_x = x.needs_grad
 
     def fn(g):
         gb = g.sum(axis=(0, 2))
         gw = np.einsum("nol,nlk->ok", g, cols, optimize=True).reshape(w.data.shape)
-        if not x.needs_grad:
+        if not need_x:
             return None, gw, gb
         gcols = np.einsum("nol,ok->nlk", g, w_mat, optimize=True)
         gcols = gcols.reshape(n, ol, ci, k)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros((n, ci, length))
         for j in range(k):
             gx[:, :, j:j + stride * ol:stride] += gcols[:, :, :, j].transpose(0, 2, 1)
         return gx, gw, gb
@@ -215,31 +229,35 @@ def maxpool2(x: Tensor) -> Tensor:
     The input is read through its four strided window views, never copied or
     reordered: inside the CNN it arrives in the (c, n, h, w) memory order of
     `conv2d`'s `einsum`. The output and the input gradient are allocated in C
-    order. No winner index is kept: the backward pass finds each window's
-    first maximum again from the same views. A NaN written into `x.data`
-    after construction loses every comparison, so it reaches the output (and
-    its finite check) only when it is first in its window."""
+    order. On a tape the op keeps one `uint8` code per window, the view
+    index (0 to 3) of its first maximum, and nothing of its input; off a tape
+    it keeps nothing. A NaN written into `x.data` after construction loses
+    every comparison, so it reaches the output (and its finite check) only
+    when it is first in its window."""
     n, c, height, width = x.data.shape
     if height % 2 or width % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {height}x{width}")
     oh, ow = height // 2, width // 2
     views = [x.data[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+    taped = active_tape() is not None
     best = np.empty((n, c, oh, ow))
     np.copyto(best, views[0])
-    for q in views[1:]:
-        np.copyto(best, q, where=q > best)
+    code = np.zeros((n, c, oh, ow), dtype=np.uint8) if taped else None
+    for k, q in enumerate(views[1:], start=1):
+        wins = q > best
+        np.copyto(best, q, where=wins)
+        if taped:
+            np.copyto(code, np.uint8(k), where=wins)
     out = Tensor(best)
+    if not taped:
+        return out
 
     def fn(g):
         # the four views partition the input, so each writes its whole share
         # of gx: g at its window's first maximum, +0.0 elsewhere
         gx = np.empty((n, c, height, width))
-        free = np.ones((n, c, oh, ow), dtype=bool)
-        for (dy, dx), q in zip(((0, 0), (0, 1), (1, 0), (1, 1)), views):
-            hit = q == best
-            hit &= free
-            free ^= hit
-            gx[:, :, dy::2, dx::2] = np.where(hit, g, 0.0)
+        for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            gx[:, :, dy::2, dx::2] = np.where(code == k, g, 0.0)
         return (gx,)
 
     _record(out, (x,), fn)

@@ -9,6 +9,8 @@ before it fails.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .tensor import check_finite
@@ -42,36 +44,53 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, learning_rate: float) -> None:
-    """Textbook bias-corrected update, run as whole-buffer in-place ops over
-    all parameters at once; the update is checked finite before any
-    parameter moves."""
+    """Textbook bias-corrected update, run one parameter at a time with
+    in-place ops on that parameter's views of the flat moments, so no
+    gathered copy of all gradients is made. Every parameter's update is
+    written to one flat buffer and checked finite before any parameter
+    moves.
+
+    A gradient array serves as scratch space once its moments are updated,
+    when it owns its memory and no other parameter's gradient is that array
+    or a view of it; otherwise a temporary of the parameter's size does. The
+    step consumes `grad` either way, so a caller that still reads a gradient
+    array after the step must pass a copy."""
     if any(p.grad is None for p in params):
         raise TypeError("adam_step needs a gradient for every parameter")
     if sum(p.data.size for p in params) != state.m.size:
         raise ValueError("parameters do not match the Adam state's size")
+    if any(p.grad.shape != p.data.shape for p in params):
+        raise ValueError("every gradient must have its parameter's shape")
     state.t += 1
     t = state.t
-    m, v = state.m, state.v
-    # the gathered gradient doubles as scratch once the moments are updated
-    g = np.concatenate([p.grad.reshape(-1) for p in params])
-    step = np.empty_like(g)
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-    np.add(m, step, out=m)
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-    np.multiply(step, g, out=step)
-    np.add(v, step, out=v)
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
-    np.multiply(step, learning_rate, out=step)
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
-    np.sqrt(g, out=g)
-    np.add(g, ADAM_EPS, out=g)
-    np.divide(step, g, out=step)
+    # the arrays whose memory the gradients are: a gradient may be a view
+    # of another's, or one array may be two parameters' gradient
+    held = Counter(id(p.grad if p.grad.base is None else p.grad.base)
+                   for p in params)
+    step = np.empty_like(state.m)
     segments, start = [], 0
     for p in params:
-        seg = step[start:start + p.data.size].reshape(p.data.shape)
-        start += p.data.size
+        g, shape = p.grad, p.data.shape
+        stop = start + g.size
+        m = state.m[start:stop].reshape(shape)
+        v = state.v[start:stop].reshape(shape)
+        seg = step[start:stop].reshape(shape)
+        start = stop
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=seg)
+        np.add(m, seg, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=seg)
+        np.multiply(seg, g, out=seg)
+        np.add(v, seg, out=v)
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=seg)
+        np.multiply(seg, learning_rate, out=seg)
+        scratch = (g if g.base is None and g.flags.writeable
+                   and held[id(g)] == 1 else np.empty(shape))
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, ADAM_EPS, out=scratch)
+        np.divide(seg, scratch, out=seg)
         if p.mask is not None:
             np.multiply(seg, p.mask, out=seg)
         segments.append(seg)

@@ -13,9 +13,15 @@ parameter moves.
 for data, True for every Parameter, and for a recorded op output True if and
 only if some parent needs one. The weighted ops skip input adjoints nobody
 reads.
+
+The tape refers to tensors by `key`, not by reference, so it keeps no
+activation alive: what outlives the forward pass is only what the backward
+closures captured.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -30,6 +36,7 @@ class GraphError(RuntimeError):
 
 
 _stack: list = []
+_keys = itertools.count()
 
 
 def active_tape():
@@ -44,13 +51,25 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array; a node or leaf of the recorded graph."""
+    """A float64 array; a node or leaf of the recorded graph.
 
-    __slots__ = ("data", "needs_grad")
+    `key` names the tensor on a tape. It is drawn from a process-wide
+    counter, so no two tensors share one, a copy included; `id()` could not
+    serve, because a freed tensor's id can be reused by a later tensor on
+    the same tape."""
+
+    __slots__ = ("data", "needs_grad", "key")
 
     def __init__(self, data):
         self.data = check_finite(np.asarray(data, dtype=np.float64), "tensor data")
         self.needs_grad = False
+        self.key = next(_keys)
+
+    def __setstate__(self, state):
+        # a (deep) copy or an unpickled tensor is a new node: fresh key
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.key = next(_keys)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)})"
@@ -93,7 +112,13 @@ def as_tensor(x) -> Tensor:
 
 
 class Tape:
-    """Ordered record of one forward pass, consumable by one backward pass."""
+    """Ordered record of one forward pass, consumable by one backward pass.
+
+    A node is `(out key, parent keys, closure)`, except that a `Parameter`
+    parent is kept as the object itself, so that backward can set its
+    `grad`. The tape holds no other tensor: an activation lives only as long
+    as the forward code or a closure holds it, and each op's closure captures
+    only what its backward reads."""
 
     def __init__(self):
         self._nodes = []
@@ -110,7 +135,9 @@ class Tape:
 
     def record(self, out: Tensor, parents: tuple, backward_fn) -> None:
         out.needs_grad = any(p.needs_grad for p in parents)
-        self._nodes.append((out, parents, backward_fn))
+        self._nodes.append((out.key, tuple(
+            p if isinstance(p, Parameter) else p.key for p in parents),
+            backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and propagate adjoints through the
@@ -118,9 +145,9 @@ class Tape:
         summed adjoint; no other tensor keeps one.
 
         Each node is popped off the tape as the walk reaches it, so the tape
-        releases the activations and buffers its backward closure holds
-        during the walk, and a consumed tape holds nothing. A second call
-        still raises GraphError.
+        releases the buffers its backward closure holds during the walk, and
+        a consumed tape holds nothing. A second call still raises
+        GraphError.
 
         Finite checks: each Parameter's summed adjoint is checked once, after
         the walk, and `grad` is set only if every one is finite (otherwise
@@ -140,23 +167,25 @@ class Tape:
             raise GraphError("loss must be a scalar node")
         self._consumed = True
 
-        adjoints = {id(loss): np.ones_like(loss.data)}
+        adjoints = {loss.key: np.ones_like(loss.data)}
         reached = {}
         nodes = self._nodes
         while nodes:
             out, parents, fn = nodes.pop()
-            g = adjoints.pop(id(out), None)
+            g = adjoints.pop(out, None)
             if g is None:
                 continue
             for parent, pg in zip(parents, fn(g)):
                 if pg is None:
                     continue
-                key = id(parent)
+                if isinstance(parent, Parameter):
+                    key = parent.key
+                    reached[key] = parent
+                else:
+                    key = parent
                 if key in adjoints:
                     pg = adjoints[key] + pg
                 adjoints[key] = pg
-                if isinstance(parent, Parameter):
-                    reached[key] = parent
         for key in reached:
             check_finite(adjoints[key], "gradient")
         for key, parameter in reached.items():

@@ -10,6 +10,7 @@ per iteration) outer iterations (optionally stopping early on stagnation).
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -257,7 +258,14 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
     """One outer iteration; returns (adopted model, its tuned attacker, tau,
     IterationReport). Everything else the iteration builds (the candidates,
     attack examples, probe gradients and scores) is freed when it returns,
-    before the next iteration builds its own."""
+    before the next iteration builds its own.
+
+    At most two attacker states are alive at once: the parent and the copy
+    being tuned. Each tuned copy is scored and dropped. For the leading
+    candidate the loop keeps the model, a copy of its job stream taken
+    before use and the examples its copy trained on; after the loop the
+    parent attacker is trained in place on those, which gives the leading
+    copy's state bit for bit at the cost of one more fine-tune."""
     config, seq = run.config, run.seq
     started = time.perf_counter()
 
@@ -269,7 +277,7 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
     if tau is None:
         tau = _pooled_tau(model, rate)
 
-    examples, _ = extract_examples(model, run.splits, config.attacker_mode)
+    examples = extract_examples(model, run.splits, config.attacker_mode)[0]
     if attacker is None:
         attacker = build_attacker(config.attacker_mode, model, seq.next())
         epochs = config.attacker_epochs_first
@@ -277,6 +285,7 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
         epochs = config.attacker_epochs_topup
     train_attacker(attacker, examples, epochs=epochs, rng=seq.next(),
                    learning_rate=config.attacker_learning_rate)
+    del examples
 
     candidates, notes = generate_candidates(
         model, config, seq.next(), gradients=gradients,
@@ -284,26 +293,27 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
         epoch_base=cumulative + run.span_epochs)
     job_rngs = [seq.next() for _ in candidates]
 
-    # Only the leading candidate's tuned attacker is kept: each one holds
-    # the attacker's weights and Adam moments, and all but the selected
-    # one are dropped anyway.
     scores, leader = [], None
     for (pair, cand), stream in zip(candidates, job_rngs):
-        tuned = finetune_attacker(attacker, cand, run.splits,
-                                  config.attacker_finetune_epochs,
-                                  rng=stream,
-                                  learning_rate=config.attacker_learning_rate)
+        replay = copy.deepcopy(stream)
+        tuned, tuned_on = finetune_attacker(
+            attacker, cand, run.splits, config.attacker_finetune_epochs,
+            rng=stream, learning_rate=config.attacker_learning_rate)
         task = task_accuracy(cand, run.val_set)
         mia = mia_accuracy(tuned, cand, run.splits)
         gain = mia_gain(tuned, cand, run.splits)
         tm = tm_score(task, max(mia, 1e-6), config.lam)
         scores.append(CandidateScore(pair, task, mia, tm, gain))
         if leader is None or rank(scores[-1]) < rank(leader[0]):
-            leader = (scores[-1], cand, tuned)
-        del tuned
+            leader = (scores[-1], cand, tuned_on, replay)
+        del tuned, tuned_on
 
     selected = select_best(scores)
-    _, model, attacker = leader
+    _, model, tuned_on, replay = leader
+    if tuned_on is not None:
+        train_attacker(attacker, tuned_on,
+                       epochs=config.attacker_finetune_epochs, rng=replay,
+                       learning_rate=config.attacker_learning_rate)
     if active_count(model) != run.initial_active:
         raise RuntimeError("active-weight count drifted during the "
                            "sparse update; invariant violated")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests over a toy experiment."""
 
+import ctypes
 import json
 import struct
 import types
@@ -7,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+import sparseguard
 from sparseguard import cli
 from sparseguard.checkpoint import (
     MAGIC,
@@ -515,17 +517,29 @@ class _FakeMallopt:
         return 1
 
 
+PINNED = [(sparseguard.M_MMAP_THRESHOLD, 32 << 20),
+          (sparseguard.M_TRIM_THRESHOLD, 256 << 20)]
+
+
 def test_main_pins_the_heap_before_dispatch(monkeypatch):
     mallopt = _FakeMallopt()
-    monkeypatch.setattr(cli.ctypes, "CDLL",
+    monkeypatch.setattr(ctypes, "CDLL",
                         lambda name: types.SimpleNamespace(mallopt=mallopt))
     assert main(["gradcheck"]) == 0
-    assert mallopt.settings == [(cli.M_MMAP_THRESHOLD, 32 << 20),
-                             (cli.M_TRIM_THRESHOLD, 256 << 20)]
+    assert mallopt.settings == PINNED
+
+
+def test_pin_heap_is_public(monkeypatch):
+    mallopt = _FakeMallopt()
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    sparseguard.pin_heap()
+    assert mallopt.settings == PINNED
 
 
 def test_heap_pin_is_a_no_op_without_mallopt(monkeypatch):
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    sparseguard.pin_heap()
     assert main(["gradcheck"]) == 0
 
 

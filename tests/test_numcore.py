@@ -154,6 +154,38 @@ def test_a_consumed_tape_holds_no_activation():
         tape.backward(loss)
 
 
+def test_a_conv_relu_pool_chain_frees_its_activations_before_backward():
+    # the tape holds keys, relu keeps a bool mask and maxpool2 one code per
+    # window, so nothing keeps conv2d's or relu's output once the forward
+    # code drops it
+    rng = np.random.default_rng(8)
+    w = Parameter(rng.normal(size=(3, 2, 3, 3)))
+    b = Parameter(rng.normal(size=3))
+    with Tape() as tape:
+        conv = ops.conv2d(Tensor(rng.normal(size=(4, 2, 6, 6))), w, b)
+        act = ops.relu(conv)
+        loss = ops.tsum(ops.maxpool2(act))
+    freed = [weakref.ref(conv.data), weakref.ref(act.data)]
+    del conv, act
+    gc.collect()
+    assert [ref() is None for ref in freed] == [True, True]
+    tape.backward(loss)
+    assert w.grad.shape == (3, 2, 3, 3) and b.grad.shape == (3,)
+
+
+def test_a_copied_tensor_gets_a_key_of_its_own():
+    w = Parameter(np.ones((2, 2)), mask=np.eye(2, dtype=bool))
+    clone = copy.deepcopy(w)
+    assert clone.key != w.key
+    assert clone.mask.tolist() == w.mask.tolist() and clone.needs_grad
+    # a parameter and its copy on one tape keep their own gradients
+    with Tape() as tape:
+        loss = ops.tsum(ops.add(w, ops.scale(clone, 3.0)))
+    tape.backward(loss)
+    assert w.grad.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert clone.grad.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+
+
 def test_non_finite_input_raises():
     x = Tensor(np.array([[1.0, 2.0]]))
     x.data[0, 1] = np.inf  # written after the constructor's check
@@ -306,6 +338,50 @@ def test_adam_matches_the_per_parameter_update_bitwise():
         assert p.grad is None
     assert np.all(flat[0].data[mask == 0] == 0.0)
     assert not np.array_equal(flat[0].data, init[0])
+
+
+def test_adam_with_shared_gradient_arrays_matches_the_reference_bitwise():
+    # a gradient that is another parameter's gradient, or a view of it, must
+    # not serve as scratch space: the other parameter still reads it
+    rng = np.random.default_rng(13)
+    init = [rng.normal(size=s) for s in [(3, 4), (3, 4), (12,), (2, 6)]]
+
+    def make():
+        return [Parameter(a.copy()) for a in init]
+
+    flat, ref = make(), make()
+    state = AdamState(flat)
+    m = [np.zeros(a.shape) for a in init]
+    v = [np.zeros(a.shape) for a in init]
+    for t in range(1, 4):
+        shared = rng.normal(size=(3, 4))
+        owner = rng.normal(size=12)
+        flat[0].grad = flat[1].grad = shared
+        flat[2].grad, flat[3].grad = owner, owner.reshape(2, 6)
+        for q, g in zip(ref, [shared, shared, owner, owner.reshape(2, 6)]):
+            q.grad = g.copy()
+        adam_step(flat, state, 0.01)
+        _per_parameter_adam(ref, m, v, t, 0.01)
+    for p, q in zip(flat, ref):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+def test_adam_gathers_no_copy_of_the_gradients():
+    rng = np.random.default_rng(14)
+    params = [Parameter(rng.normal(size=(200, 250))),
+              Parameter(rng.normal(size=250))]
+    state = AdamState(params)
+    for p in params:
+        p.grad = rng.normal(size=p.data.shape)
+    update_bytes = state.m.nbytes
+    tracemalloc.start()
+    try:
+        adam_step(params, state, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one flat update buffer; the owned gradients serve as scratch
+    assert peak < 1.2 * update_bytes
 
 
 def test_adam_rejects_parameters_that_do_not_fit_the_state():
@@ -508,6 +584,12 @@ def test_deepcopy_of_attacker_keeps_needs_grad():
     assert all(p.needs_grad is True for p in clone.params())
 
 
+def _keyed(*tensors):
+    """The parent entries a tape node holds for these tensors: a Parameter
+    as itself, any other tensor by its key."""
+    return tuple(t if isinstance(t, Parameter) else t.key for t in tensors)
+
+
 WEIGHTED_OPS = [
     (ops.linear, (4, 5), (3, 5), {}),
     (ops.conv2d, (2, 2, 5, 5), (3, 2, 3, 3), {}),
@@ -528,7 +610,8 @@ def test_weighted_op_skips_the_input_gradient_of_data(op, x_shape, w_shape,
         with Tape() as tape:
             out = op(x, w, b, **kwargs)
         (recorded, parents, fn), = tape._nodes
-        assert recorded is out and parents == (x, w, b)
+        assert recorded == out.key and parents == _keyed(x, w, b)
+        assert parents[0] is x if tracked else parents[0] == x.key
         gx, gw, gb = fn(np.ones_like(out.data))
         if tracked:
             assert isinstance(gx, np.ndarray) and gx.shape == x_shape
@@ -548,9 +631,10 @@ def test_conv2d_keeps_no_im2col_matrix_between_forward_and_backward():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            ops.conv2d(x, w, b)
+            out = ops.conv2d(x, w, b)
         held, _ = tracemalloc.get_traced_memory()
-        (_, _, fn), = tape._nodes
+        (recorded, parents, fn), = tape._nodes
+        assert recorded == out.key and parents == (x, w, b)
         gx, gw, gb = fn(adjoint)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -753,7 +837,7 @@ def _pool(op, data, tracked, adjoint):
     with Tape() as tape:
         out = op(x)
     (recorded, parents, fn), = tape._nodes
-    assert recorded is out and parents == (x,)
+    assert recorded == out.key and parents == (x,) and parents[0] is x
     (gx,) = fn(adjoint)
     return out.data, gx
 

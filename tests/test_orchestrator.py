@@ -1,6 +1,7 @@
 """Outer-loop tests: config validation, training phase, candidates, selection,
 and the full compress-attack-test-select cycle at toy scale."""
 
+import copy
 import gc
 import weakref
 
@@ -333,6 +334,13 @@ def test_run_compression_small_end_to_end():
     assert active_count(model) == initial
 
 
+def _attacker_state(attacker) -> list:
+    """The bytes of an attacker's parameters and its Adam state."""
+    state = attacker.opt_state
+    return ([p.data.tobytes() for p in attacker.params()]
+            + [state.m.tobytes(), state.v.tobytes(), state.t])
+
+
 @pytest.mark.parametrize("scoring", ["scored", "tied", "patched rank"])
 def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
                                                                 scoring):
@@ -348,30 +356,39 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
         favourite = StrategyPair("threshold", "gradient")
         monkeypatch.setattr(orchestrator, "rank",
                             lambda s: (s.pair != favourite, s.pair.tag()))
-    calls = []   # (parent attacker, weak reference to its tuned copy)
-    alive = []   # earlier tuned copies of the same parent alive at each call
-    real = orchestrator.finetune_attacker
+    refs = []       # weak references to every tuned copy made so far
+    alive = []      # earlier tuned copies alive as each fine-tune starts
+    snapshots = []  # deep copy of each tuned copy, as it was returned
+    adopted = []    # the attacker each iteration hands to the next
+    real_finetune = orchestrator.finetune_attacker
+    real_iteration = orchestrator._run_iteration
 
-    def spy(attacker, *args, **kwargs):
+    def spy(*args, **kwargs):
         gc.collect()
-        alive.append(sum(parent is attacker and ref() is not None
-                         for parent, ref in calls))
-        tuned = real(attacker, *args, **kwargs)
-        calls.append((attacker, weakref.ref(tuned)))
-        return tuned
+        alive.append(sum(ref() is not None for ref in refs))
+        tuned, tuned_on = real_finetune(*args, **kwargs)
+        refs.append(weakref.ref(tuned))
+        snapshots.append(_attacker_state(copy.deepcopy(tuned)))
+        return tuned, tuned_on
+
+    def iteration_spy(*args, **kwargs):
+        model, attacker, tau, report = real_iteration(*args, **kwargs)
+        adopted.append(_attacker_state(attacker))
+        return model, attacker, tau, report
 
     monkeypatch.setattr(orchestrator, "finetune_attacker", spy)
+    monkeypatch.setattr(orchestrator, "_run_iteration", iteration_spy)
     config = toy_config(inner_iterations=24, total_epochs=12.0, pairs=pairs)
     _, reports = run_compression(config, toy_data(seed=6, n_train=256,
                                                   n_test=120))
-    assert len(reports) >= 2 and len(calls) == 4 * len(reports)
-    assert max(alive) == 1
-    # each iteration tunes copies of the attacker the one before adopted
-    for i, report in enumerate(reports[:-1]):
-        adopted = calls[4 * (i + 1)][0]
-        tuned = [ref() for _, ref in calls[4 * i:4 * i + 4]]
-        k = next(k for k, t in enumerate(tuned) if t is adopted)
-        assert report.candidates[k].pair == report.selected
+    assert len(reports) >= 2 and len(snapshots) == 4 * len(reports)
+    assert alive == [0] * len(snapshots)
+    # each iteration adopts its selected candidate's tuned attacker, bit for
+    # bit, and selects by the ranking select_best applies
+    for i, report in enumerate(reports):
+        k = next(k for k, c in enumerate(report.candidates)
+                 if c.pair == report.selected)
+        assert adopted[i] == snapshots[4 * i + k]
         assert report.selected == select_best(list(report.candidates))
     if scoring == "tied":
         assert {r.selected for r in reports} == {StrategyPair("magnitude",
