@@ -158,23 +158,21 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int,
 
 def finetune_attacker(attacker, candidate, splits: AttackSplits, epochs: int,
                       rng: np.random.Generator, *, learning_rate: float):
-    """Copy the attacker and adapt the copy to one candidate model; returns
-    (tuned copy, the known-pair examples it trained on, or None when
-    `epochs` is 0).
+    """Copy the attacker and adapt the copy to one candidate model, on the
+    candidate's known-pair examples; returns the tuned copy.
 
     The parent attacker (trained against the candidates' shared parent model)
     is left untouched so every candidate starts from the same state. Given
-    the examples and a copy of `rng` taken before the call, `train_attacker`
-    brings the parent itself to the tuned copy's state, bit for bit, without
-    extracting the examples again.
+    the same examples and a copy of `rng` taken before the call,
+    `train_attacker` brings the parent itself to the tuned copy's state, bit
+    for bit.
     """
     tuned = copy.deepcopy(attacker)
-    if epochs == 0:
-        return tuned, None
-    attack_train = extract_examples(candidate, splits, tuned.spec.mode)[0]
-    train_attacker(tuned, attack_train, epochs=epochs, rng=rng,
-                   learning_rate=learning_rate)
-    return tuned, attack_train
+    if epochs:
+        attack_train = extract_examples(candidate, splits, tuned.spec.mode)[0]
+        train_attacker(tuned, attack_train, epochs=epochs, rng=rng,
+                       learning_rate=learning_rate)
+    return tuned
 
 
 def attack_outputs(attacker, features: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Both steppers honor parameter masks: the update is multiplied by the bool
 mask, so mask-inactive weights stay exactly ±0 however many steps run (the
 rule of `Parameter`).
 Each step consumes `grad` (None afterwards), so a step with no backward pass
-before it fails.
+before it fails. Both write into a gradient array that owns its memory and
+backs no other parameter's gradient, so a caller that still reads a gradient
+array after a step must pass a copy.
 """
 
 from __future__ import annotations
@@ -21,14 +23,38 @@ ADAM_EPS = 1e-8
 
 
 def sgd_step(params, learning_rate: float) -> None:
-    """Plain SGD, no momentum: value <- value - lr * gradient."""
+    """Plain SGD, no momentum: value <- value - lr * gradient.
+
+    The update is written into the gradient it consumes (see `_scratch`),
+    first scaled by the rate, then gated by the mask; this has the bits of
+    the out-of-place product. Each parameter's update is checked finite
+    before that parameter moves."""
+    if any(p.grad is None for p in params):
+        raise TypeError("sgd_step needs a gradient for every parameter")
+    held = _holders(params)
     for p in params:
-        update = learning_rate * p.grad
+        g = p.grad
+        update = g if _scratch(g, held) else np.empty(g.shape)
+        np.multiply(g, learning_rate, out=update)
         if p.mask is not None:
-            update = update * p.mask
+            np.multiply(update, p.mask, out=update)
         check_finite(update, "sgd update")
         p.data -= update
         p.grad = None
+
+
+def _holders(params) -> Counter:
+    """How many of the parameters' gradients each array's memory backs: a
+    gradient may be a view of another's, or one array may be two
+    parameters' gradient (`ops.add` hands one `g` to both parents)."""
+    return Counter(id(p.grad if p.grad.base is None else p.grad.base)
+                   for p in params)
+
+
+def _scratch(g: np.ndarray, held: Counter) -> bool:
+    """Whether a gradient may be overwritten: it owns its memory and no
+    other parameter's gradient is it or a view of it."""
+    return g.base is None and g.flags.writeable and held[id(g)] == 1
 
 
 class AdamState:
@@ -51,10 +77,8 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
     moves.
 
     A gradient array serves as scratch space once its moments are updated,
-    when it owns its memory and no other parameter's gradient is that array
-    or a view of it; otherwise a temporary of the parameter's size does. The
-    step consumes `grad` either way, so a caller that still reads a gradient
-    array after the step must pass a copy."""
+    when `_scratch` allows; otherwise a temporary of the parameter's size
+    does."""
     if any(p.grad is None for p in params):
         raise TypeError("adam_step needs a gradient for every parameter")
     if sum(p.data.size for p in params) != state.m.size:
@@ -63,10 +87,7 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
         raise ValueError("every gradient must have its parameter's shape")
     state.t += 1
     t = state.t
-    # the arrays whose memory the gradients are: a gradient may be a view
-    # of another's, or one array may be two parameters' gradient
-    held = Counter(id(p.grad if p.grad.base is None else p.grad.base)
-                   for p in params)
+    held = _holders(params)
     step = np.empty_like(state.m)
     segments, start = [], 0
     for p in params:
@@ -85,8 +106,7 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
         np.add(v, seg, out=v)
         np.divide(m, 1.0 - ADAM_BETA1 ** t, out=seg)
         np.multiply(seg, learning_rate, out=seg)
-        scratch = (g if g.base is None and g.flags.writeable
-                   and held[id(g)] == 1 else np.empty(shape))
+        scratch = g if _scratch(g, held) else np.empty(shape)
         np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
         np.sqrt(scratch, out=scratch)
         np.add(scratch, ADAM_EPS, out=scratch)

@@ -1,11 +1,12 @@
 """The outer compress-attack-test-select loop.
 
-One outer iteration trains the sparse model for a fixed span, proposes one
-candidate topology per prune/grow strategy pair, refreshes the simulated
-attacker against the parent model, fine-tunes an attacker copy per candidate,
-scores every candidate on task accuracy and attack resistance, and adopts the
-candidate with the best trade-off. The loop runs ceil(epoch budget / epochs
-per iteration) outer iterations (optionally stopping early on stagnation).
+One outer iteration trains the sparse model for a fixed span, refreshes the
+simulated attacker against it, plans one candidate topology per prune/grow
+strategy pair as a sparse update of that parent model, then builds,
+fine-tunes and scores one candidate at a time (task accuracy and resistance
+to an attacker copy tuned against it), and adopts the candidate with the
+best trade-off. The loop runs ceil(epoch budget / epochs per iteration)
+outer iterations (optionally stopping early on stagnation).
 """
 
 from __future__ import annotations
@@ -148,32 +149,32 @@ def train_phase(model, train_data: LabeledSet, iterations: int,
 
 
 def generate_candidates(model, config: RunConfig, rng: np.random.Generator,
-                        *, gradients: dict, prune_rate: float, tau: float,
-                        train_data: LabeledSet, epoch_base: float = 0.0):
-    """One fine-tuned deep-copied candidate per strategy pair.
+                        *, gradients: dict, prune_rate: float, tau: float):
+    """One sparse-update plan per strategy pair, with the stream its
+    candidate's fine-tune draws from: ([(pair, SparseUpdate, tune stream)],
+    notes). Nothing is copied or trained here; `SparseUpdate.apply` builds a
+    candidate when it is scored.
 
-    Degenerate updates (a threshold that would wipe a layer) are discarded
-    with a note; at least one candidate must survive.
+    Every pair's child seed is drawn before the first tune stream, and only
+    surviving pairs draw a tune stream, so a discarded pair shifts no other
+    stream. Degenerate updates (a threshold that would wipe a layer) are
+    discarded with a note; at least one candidate must survive.
     """
-    steps = int(round(config.candidate_finetune_epochs
-                      * _steps_per_epoch(len(train_data), config.batch_size)))
-    updated, notes = [], []
+    planned, notes = [], []
     for pair in config.pairs:
         child = np.random.default_rng(rng.integers(2 ** 63))
         try:
-            cand = sparse_update(model, pair, prune_rate, tau, gradients, child)
+            update = sparse_update(model, pair, prune_rate, tau, gradients,
+                                   child)
         except DegenerateUpdateError as exc:
             notes.append(f"{pair.tag()} discarded: {exc}")
             continue
-        updated.append((pair, cand))
-    if not updated:
+        planned.append((pair, update))
+    if not planned:
         raise RuntimeError("every candidate was degenerate; no candidate "
                            "survived the sparse update")
-    tune_rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in updated]
-    for (_, cand), stream in zip(updated, tune_rngs):
-        train_phase(cand, train_data, steps, config, stream,
-                    epoch_base=epoch_base)
-    return updated, notes
+    return [(pair, update, np.random.default_rng(rng.integers(2 ** 63)))
+            for pair, update in planned], notes
 
 
 def rank(score: CandidateScore) -> tuple:
@@ -260,12 +261,17 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
     attack examples, probe gradients and scores) is freed when it returns,
     before the next iteration builds its own.
 
-    At most two attacker states are alive at once: the parent and the copy
-    being tuned. Each tuned copy is scored and dropped. For the leading
-    candidate the loop keeps the model, a copy of its job stream taken
-    before use and the examples its copy trained on; after the loop the
-    parent attacker is trained in place on those, which gives the leading
-    copy's state bit for bit at the cost of one more fine-tune."""
+    The candidates are planned on the parent as sparse updates, and the
+    probe gradients are dropped once they are. Then each candidate in turn
+    is built, fine-tuned, given a tuned attacker copy, scored and dropped,
+    so at most two target models (the parent and the one being scored) and
+    two attacker states are alive at once. For the leading candidate the
+    loop keeps its score, its update and copies of its tune and job streams
+    taken before use. After the loop the leader's update is applied to the
+    parent and its fine-tune replayed, and the parent attacker is trained
+    in place on the adopted model's known pair with the job stream: the same
+    starts and streams give the leader's model and attacker bit for bit, at
+    the cost of one more target and attacker fine-tune."""
     config, seq = run.config, run.seq
     started = time.perf_counter()
 
@@ -289,30 +295,40 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
 
     candidates, notes = generate_candidates(
         model, config, seq.next(), gradients=gradients,
-        prune_rate=rate, tau=tau, train_data=run.train_set,
-        epoch_base=cumulative + run.span_epochs)
+        prune_rate=rate, tau=tau)
+    del gradients
     job_rngs = [seq.next() for _ in candidates]
+    steps = int(round(config.candidate_finetune_epochs * _steps_per_epoch(
+        len(run.train_set), config.batch_size)))
+    epoch_base = cumulative + run.span_epochs
+
+    def fine_tuned(cand, stream):
+        return train_phase(cand, run.train_set, steps, config, stream,
+                           epoch_base=epoch_base)
 
     scores, leader = [], None
-    for (pair, cand), stream in zip(candidates, job_rngs):
-        replay = copy.deepcopy(stream)
-        tuned, tuned_on = finetune_attacker(
+    for (pair, update, tune), job in zip(candidates, job_rngs):
+        replay = (copy.deepcopy(tune), copy.deepcopy(job))
+        cand = fine_tuned(update.apply(model), tune)
+        tuned = finetune_attacker(
             attacker, cand, run.splits, config.attacker_finetune_epochs,
-            rng=stream, learning_rate=config.attacker_learning_rate)
+            rng=job, learning_rate=config.attacker_learning_rate)
         task = task_accuracy(cand, run.val_set)
         mia = mia_accuracy(tuned, cand, run.splits)
         gain = mia_gain(tuned, cand, run.splits)
         tm = tm_score(task, max(mia, 1e-6), config.lam)
         scores.append(CandidateScore(pair, task, mia, tm, gain))
         if leader is None or rank(scores[-1]) < rank(leader[0]):
-            leader = (scores[-1], cand, tuned_on, replay)
-        del tuned, tuned_on
+            leader = (scores[-1], update, *replay)
+        del cand, tuned
 
     selected = select_best(scores)
-    _, model, tuned_on, replay = leader
-    if tuned_on is not None:
-        train_attacker(attacker, tuned_on,
-                       epochs=config.attacker_finetune_epochs, rng=replay,
+    _, update, tune, job = leader
+    model = fine_tuned(update.apply(model), tune)
+    if config.attacker_finetune_epochs:
+        known = extract_examples(model, run.splits, config.attacker_mode)[0]
+        train_attacker(attacker, known,
+                       epochs=config.attacker_finetune_epochs, rng=job,
                        learning_rate=config.attacker_learning_rate)
     if active_count(model) != run.initial_active:
         raise RuntimeError("active-weight count drifted during the "

@@ -1,6 +1,8 @@
 """Sparse mask management: Erdos-Renyi initialization against a global
 density budget, sparsity accounting, the two pruning and two growth
-strategies, and the count-preserving dynamic update.
+strategies, and the count-preserving dynamic update: `sparse_update` plans
+it on a model it only reads, and `SparseUpdate.apply` builds the updated
+copy.
 
 A "model" here is anything with masked_layers() returning layers whose .w is
 a Parameter carrying a bool mask of the same shape. Prune and grow act
@@ -160,33 +162,54 @@ def _set_mask(layer, chosen: np.ndarray, value: bool) -> np.ndarray:
     return chosen
 
 
-def prune_magnitude(layer, count: int) -> np.ndarray:
-    """Deactivate the count smallest-|w| active weights of a layer; ties go
-    to the lowest flat index. Returns the removed flat indices, ascending."""
+def _smallest_active(layer, count: int) -> np.ndarray:
     w, m = _flat_views(layer)
     act = np.flatnonzero(m)
     if count > act.size:
         raise ValueError(f"cannot prune {count} of {act.size} active weights")
     order = np.lexsort((act, np.abs(w[act])))
-    return _set_mask(layer, np.sort(act[order[:count]]), False)
+    return np.sort(act[order[:count]])
+
+
+def _below_threshold(layer, tau: float) -> np.ndarray:
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    w, m = _flat_views(layer)
+    return np.flatnonzero(m & (np.abs(w) < tau))
+
+
+def _largest_gradient(gradient, pool: np.ndarray, count: int) -> np.ndarray:
+    # every entry above the count-th largest |g|, then the lowest-index
+    # entries equal to it; pool is ascending, so the result is too
+    if count == 0 or count >= pool.size:
+        return pool[:count]
+    mags = np.asarray(gradient).reshape(-1)[pool]
+    np.abs(mags, out=mags)
+    kth = mags.size - count
+    cutoff = np.partition(mags, kth)[kth]
+    chosen = mags > cutoff
+    ties = np.flatnonzero(mags == cutoff)
+    chosen[ties[:count - np.count_nonzero(chosen)]] = True
+    return pool[chosen]
+
+
+def prune_magnitude(layer, count: int) -> np.ndarray:
+    """Deactivate the count smallest-|w| active weights of a layer; ties go
+    to the lowest flat index. Returns the removed flat indices, ascending."""
+    return _set_mask(layer, _smallest_active(layer, count), False)
 
 
 def prune_threshold(layer, tau: float) -> np.ndarray:
     """Deactivate every active weight of a layer with |w| < tau. Returns the
     removed flat indices, ascending."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    w, m = _flat_views(layer)
-    return _set_mask(layer, np.flatnonzero(m & (np.abs(w) < tau)), False)
+    return _set_mask(layer, _below_threshold(layer, tau), False)
 
 
 def grow_gradient(layer, gradient, pool: np.ndarray, count: int) -> np.ndarray:
     """Activate the count positions of pool (ascending inactive flat indices)
     with the largest |dL/dw| in the dense pre-mask gradient; ties go to the
-    lowest flat index. Returns the grown flat indices."""
-    g = np.asarray(gradient).reshape(-1)
-    order = np.lexsort((pool, -np.abs(g[pool])))
-    return _set_mask(layer, pool[order[:count]], True)
+    lowest flat index. Returns the grown flat indices, ascending."""
+    return _set_mask(layer, _largest_gradient(gradient, pool, count), True)
 
 
 def grow_random(layer, pool: np.ndarray, count: int,
@@ -197,44 +220,79 @@ def grow_random(layer, pool: np.ndarray, count: int,
                      True)
 
 
+@dataclass(frozen=True)
+class SparseUpdate:
+    """One planned prune-and-regrow step: per masked layer, the flat indices
+    it prunes, grows from its pre-prune inactive positions and regrows from
+    the just-pruned ones, and the active count the layer keeps."""
+
+    pruned: tuple[np.ndarray, ...]
+    grown: tuple[np.ndarray, ...]
+    regrown: tuple[np.ndarray, ...]
+    active: tuple[int, ...]
+
+    def apply(self, model):
+        """A deep copy of the model with the update made: every pruned,
+        grown and regrown weight is set to 0.0, prune before grow before
+        regrow."""
+        new = copy.deepcopy(model)
+        layers = new.masked_layers()
+        for layer, chosen in zip(layers, self.pruned):
+            _set_mask(layer, chosen, False)
+        for layer, chosen in zip(layers, self.grown):
+            _set_mask(layer, chosen, True)
+        for k, (layer, chosen) in enumerate(zip(layers, self.regrown)):
+            _set_mask(layer, chosen, True)
+            if np.count_nonzero(layer.mask) != self.active[k]:
+                raise RuntimeError(f"sparse update changed the active count "
+                                   f"of layer {k}")
+        return new
+
+
 def sparse_update(model, pair: StrategyPair, prune_rate: float, tau: float,
-                  dense_gradients: dict, rng: np.random.Generator):
-    """Prune then regrow a deep copy of the model, preserving the active
-    count of every layer exactly. A threshold that wipes out a layer raises
-    DegenerateUpdateError. Each layer regrows from its pre-prune inactive
-    positions; when those are too few (near-dense), a second pass over the
-    layers regrows the shortfall from the just-pruned positions."""
+                  dense_gradients: dict, rng: np.random.Generator
+                  ) -> SparseUpdate:
+    """Plan a prune then regrow of the model that preserves the active count
+    of every layer exactly; the model is only read. A threshold that wipes
+    out a layer raises DegenerateUpdateError. Each layer regrows from its
+    pre-prune inactive positions; when those are too few (near-dense), a
+    second pass over the layers regrows the shortfall from the just-pruned
+    positions. Random growth draws from `rng` in that order, layer by layer.
+    `SparseUpdate.apply` builds the updated copy."""
     if not 0.0 < prune_rate < 1.0:
         raise ValueError("prune_rate must be in (0, 1)")
-    new = copy.deepcopy(model)
-    layers = new.masked_layers()
 
     def grow(k, pool, count):  # a count of 0 makes no random draw
-        if count and pair.grow == "gradient":
-            grow_gradient(layers[k], dense_gradients[k], pool, count)
-        elif count:
-            grow_random(layers[k], pool, count, rng)
+        if pair.grow == "gradient":
+            return _largest_gradient(dense_gradients[k], pool, count)
+        if count:
+            return rng.choice(pool, size=count, replace=False)
+        return pool[:0]
 
-    plan = []  # per layer: (active count, pre-prune inactive pool, pruned)
+    layers = model.masked_layers()
+    active, pruned = [], []
     for k, layer in enumerate(layers):
         act = int(np.count_nonzero(layer.mask))
-        pool = np.flatnonzero(~layer.mask.reshape(-1))
         if pair.prune == "magnitude":
-            pruned = prune_magnitude(
+            cut = _smallest_active(
                 layer, max(math.floor(prune_rate * act), int(act > 1)))
         else:
-            pruned = prune_threshold(layer, tau)
-            if act > 0 and pruned.size == act:
+            cut = _below_threshold(layer, tau)
+            if act > 0 and cut.size == act:
                 raise DegenerateUpdateError(
                     f"threshold {tau} wipes out all {act} active weights in layer {k}")
-        plan.append((act, pool, pruned))
+        active.append(act)
+        pruned.append(cut)
 
-    for k, (_, pool, pruned) in enumerate(plan):
-        grow(k, pool, min(pruned.size, pool.size))
-    for k, (act, pool, pruned) in enumerate(plan):
-        grow(k, pruned, max(pruned.size - pool.size, 0))
-        assert np.count_nonzero(layers[k].mask) == act
-    return new
+    # a layer's pre-prune inactive pool is built only while the layer grows;
+    # the regrowth makes up what that pool was too small to give
+    grown = [grow(k, np.flatnonzero(~layer.mask.reshape(-1)),
+                  min(cut.size, layer.mask.size - act))
+             for k, (layer, act, cut) in enumerate(zip(layers, active, pruned))]
+    regrown = [grow(k, cut, cut.size - got.size)
+               for k, (cut, got) in enumerate(zip(pruned, grown))]
+    return SparseUpdate(tuple(pruned), tuple(grown), tuple(regrown),
+                        tuple(active))
 
 
 def prune_rate_at(iteration: int, total_iterations: int, start: float,

@@ -116,7 +116,8 @@ def test_02_sparsity_preserved_by_updates(verdict):
                      for l in current.masked_layers()])
                 tau = float(np.quantile(pooled, rng.uniform(0.05, 0.3)))
                 rate = float(rng.uniform(0.05, 0.45))
-                current = sparse_update(current, pair, rate, tau, grads, rng)
+                current = sparse_update(current, pair, rate, tau, grads,
+                                        rng).apply(current)
                 now = [int(np.count_nonzero(l.mask))
                        for l in current.masked_layers()]
                 assert now == per_layer

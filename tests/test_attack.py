@@ -278,10 +278,10 @@ def trained_setup(seed=0):
 
 def test_finetune_zero_epochs_is_identity():
     target, splits, attacker = trained_setup()
-    tuned, tuned_on = finetune_attacker(attacker, target, splits, epochs=0,
-                                        rng=np.random.default_rng(0),
-                                        learning_rate=0.001)
-    assert tuned is not attacker and tuned_on is None
+    tuned = finetune_attacker(attacker, target, splits, epochs=0,
+                              rng=np.random.default_rng(0),
+                              learning_rate=0.001)
+    assert tuned is not attacker
     for a, b in zip(attacker.params(), tuned.params()):
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -289,9 +289,9 @@ def test_finetune_zero_epochs_is_identity():
 def test_finetune_preserves_parent():
     target, splits, attacker = trained_setup(seed=1)
     before = [p.data.copy() for p in attacker.params()]
-    tuned, _ = finetune_attacker(attacker, target, splits, epochs=2,
-                                 rng=np.random.default_rng(1),
-                                 learning_rate=0.001)
+    tuned = finetune_attacker(attacker, target, splits, epochs=2,
+                              rng=np.random.default_rng(1),
+                              learning_rate=0.001)
     for p, snap in zip(attacker.params(), before):
         assert p.data.tobytes() == snap.tobytes()
     changed = any(p.data.tobytes() != snap.tobytes()
@@ -303,7 +303,7 @@ def test_four_finetunes_are_distinct_instances():
     target, splits, attacker = trained_setup(seed=2)
     copies = [finetune_attacker(attacker, target, splits, epochs=1,
                                 rng=np.random.default_rng(k),
-                                learning_rate=0.001)[0]
+                                learning_rate=0.001)
               for k in range(4)]
     ids = {id(c) for c in copies} | {id(attacker)}
     assert len(ids) == 5
@@ -312,9 +312,9 @@ def test_four_finetunes_are_distinct_instances():
 def test_finetune_on_parent_model_is_stable():
     target, splits, attacker = trained_setup(seed=3)
     before = mia_accuracy(attacker, target, splits)
-    tuned, _ = finetune_attacker(attacker, target, splits, epochs=5,
-                                 rng=np.random.default_rng(3),
-                                 learning_rate=0.001)
+    tuned = finetune_attacker(attacker, target, splits, epochs=5,
+                              rng=np.random.default_rng(3),
+                              learning_rate=0.001)
     after = mia_accuracy(tuned, target, splits)
     assert abs(after - before) < 0.02
 
@@ -325,30 +325,29 @@ def test_finetune_trains_at_the_given_learning_rate():
     at, _ = extract_examples(target, splits, "blackbox")
     train_attacker(reference, at, epochs=2, rng=np.random.default_rng(4),
                    learning_rate=0.01)
-    tuned, tuned_on = finetune_attacker(attacker, target, splits, epochs=2,
-                                        rng=np.random.default_rng(4),
-                                        learning_rate=0.01)
-    slow, _ = finetune_attacker(attacker, target, splits, epochs=2,
-                                rng=np.random.default_rng(4),
-                                learning_rate=0.001)
+    tuned = finetune_attacker(attacker, target, splits, epochs=2,
+                              rng=np.random.default_rng(4),
+                              learning_rate=0.01)
+    slow = finetune_attacker(attacker, target, splits, epochs=2,
+                             rng=np.random.default_rng(4),
+                             learning_rate=0.001)
     for a, b in zip(reference.params(), tuned.params()):
         assert a.data.tobytes() == b.data.tobytes()
     assert any(a.data.tobytes() != b.data.tobytes()
                for a, b in zip(tuned.params(), slow.params()))
-    # the examples it returns are the known pair it trained on
-    assert tuned_on.features.tobytes() == at.features.tobytes()
-    assert tuned_on.membership.tobytes() == at.membership.tobytes()
 
 
 def test_finetune_replayed_on_the_parent_gives_the_tuned_copy():
     # the orchestrator adopts the leading candidate's attacker this way,
-    # without keeping the tuned copy or extracting its examples again
+    # without keeping the tuned copy: the target's known pair and a copy of
+    # the stream taken before the fine-tune
     target, splits, attacker = trained_setup(seed=5)
     stream = np.random.default_rng(5)
     replay = copy.deepcopy(stream)
-    tuned, tuned_on = finetune_attacker(attacker, target, splits, epochs=2,
-                                        rng=stream, learning_rate=0.001)
-    train_attacker(attacker, tuned_on, epochs=2, rng=replay,
+    tuned = finetune_attacker(attacker, target, splits, epochs=2,
+                              rng=stream, learning_rate=0.001)
+    known = extract_examples(target, splits, "blackbox")[0]
+    train_attacker(attacker, known, epochs=2, rng=replay,
                    learning_rate=0.001)
     for a, b in zip(attacker.params(), tuned.params()):
         assert a.data.tobytes() == b.data.tobytes()

@@ -251,6 +251,63 @@ def test_sgd_respects_mask():
     assert p.data[1] == 0.0
 
 
+def _out_of_place_sgd(params, learning_rate):
+    """The step as it was before it wrote into the gradient: the in-place
+    step must match it bit for bit."""
+    for p in params:
+        update = learning_rate * p.grad
+        if p.mask is not None:
+            update = update * p.mask
+        p.data -= update
+        p.grad = None
+
+
+def test_sgd_in_place_matches_the_out_of_place_step_bitwise():
+    rng = np.random.default_rng(15)
+    shapes = [(6, 5), (5,), (3, 2, 2), (4, 3), (4, 3), (12,), (2, 6)]
+    mask = rng.random((6, 5)) < 0.4
+    init = [rng.normal(size=s) for s in shapes]
+    init[0] *= mask
+
+    def make():
+        return ([Parameter(init[0].copy(), mask=mask.copy())]
+                + [Parameter(a.copy()) for a in init[1:]])
+
+    flat, ref = make(), make()
+    for _ in range(50):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 2), size=s)
+                 for s in shapes[:4]]
+        owner = rng.normal(size=12)
+        # one array as two parameters' gradient, as ops.add hands it back,
+        # and an array with a view of it as another parameter's gradient
+        grads += [grads[3], owner, owner.reshape(2, 6)]
+        for p, q, g in zip(flat, ref, grads):
+            p.grad, q.grad = g, g.copy()
+        lr = float(rng.uniform(0.01, 0.5))
+        sgd_step(flat, lr)
+        _out_of_place_sgd(ref, lr)
+    for p, q in zip(flat, ref):
+        assert p.data.tobytes() == q.data.tobytes()
+        assert p.grad is None
+    assert np.all(flat[0].data[~mask] == 0.0)
+    assert not np.array_equal(flat[0].data, init[0])
+
+
+def test_sgd_writes_its_update_into_an_owned_gradient():
+    p = Parameter(np.zeros((200, 250)), mask=np.ones((200, 250), dtype=bool))
+    g = np.ones((200, 250))
+    p.grad = g
+    tracemalloc.start()
+    try:
+        sgd_step([p], 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the finite check's one-byte-per-entry result; no float64 temporary
+    assert peak < 0.25 * g.nbytes
+    assert np.all(g == 0.5) and np.all(p.data == -0.5)
+
+
 def test_parameter_stores_its_mask_as_bool():
     bool_mask = np.array([True, False])
     assert Parameter(np.array([0.5, 0.0]), mask=bool_mask).mask is bool_mask

@@ -25,6 +25,7 @@ from sparseguard.orchestrator import (
 )
 from sparseguard.sparse import (
     ALL_PAIRS,
+    SparseUpdate,
     StrategyPair,
     active_count,
     sparse_update,
@@ -232,38 +233,46 @@ def probe_gradients(model, data):
             for k, layer in enumerate(model.masked_layers())}
 
 
+def masks_and_weights(model) -> list:
+    return ([p.data.tobytes() for p in model.params()]
+            + [l.mask.tobytes() for l in model.masked_layers()])
+
+
 def test_generate_candidates_contract():
     train, _ = toy_data(seed=3)
     config = toy_config()
     model = build_target(config.target, 0.3, np.random.default_rng(3))
     train_phase(model, train, 40, config, np.random.default_rng(3))
     grads = probe_gradients(model, train)
-    before = [p.data.copy() for p in model.params()]
-    masks_before = [l.mask.copy() for l in model.masked_layers()]
-    produced = generate_candidates(
+    before = masks_and_weights(model)
+    candidates, notes = generate_candidates(
         model, config, np.random.default_rng(3), gradients=grads,
-        prune_rate=0.2, tau=1e-4, train_data=train)
-    candidates, notes = produced
+        prune_rate=0.2, tau=1e-4)
     assert notes == []
-    assert [pair.tag() for pair, _ in candidates] == [p.tag() for p in ALL_PAIRS]
-    # parent untouched, bitwise
-    for p, snap in zip(model.params(), before):
-        assert p.data.tobytes() == snap.tobytes()
-    for layer, snap in zip(model.masked_layers(), masks_before):
-        assert layer.mask.tobytes() == snap.tobytes()
+    assert [pair.tag() for pair, _, _ in candidates] == [
+        p.tag() for p in ALL_PAIRS]
+    # planning copies and trains nothing: the parent is untouched, bitwise
+    assert masks_and_weights(model) == before
+    # the draw order: every pair's child seed, then one tune stream each
+    draws = np.random.default_rng(3)
+    children = [draws.integers(2 ** 63) for _ in ALL_PAIRS]
+    tunes = [draws.integers(2 ** 63) for _ in ALL_PAIRS]
     target_count = active_count(model)
-    for _, cand in candidates:
+    for (pair, update, tune), child, seed in zip(candidates, children, tunes):
+        assert (tune.bit_generator.state
+                == np.random.default_rng(seed).bit_generator.state)
+        again = sparse_update(model, pair, 0.2, 1e-4, grads,
+                              np.random.default_rng(child))
+        cand = update.apply(model)
+        assert masks_and_weights(cand) == masks_and_weights(
+            again.apply(model))
         assert active_count(cand) == target_count
     # same prune kind + same parent => identical pruned set
-    by_tag = {pair.tag(): cand for pair, cand in candidates}
+    by_tag = {pair.tag(): update for pair, update, _ in candidates}
     for a, b in (("magnitude:gradient", "magnitude:random"),
                  ("threshold:gradient", "threshold:random")):
-        for la, lb, lp in zip(by_tag[a].masked_layers(),
-                              by_tag[b].masked_layers(),
-                              model.masked_layers()):
-            pruned_a = (lp.mask == 1.0) & (la.mask == 0.0)
-            pruned_b = (lp.mask == 1.0) & (lb.mask == 0.0)
-            assert np.array_equal(pruned_a, pruned_b)
+        for pa, pb in zip(by_tag[a].pruned, by_tag[b].pruned):
+            assert np.array_equal(pa, pb)
 
 
 def test_probe_pass_leaves_no_gradient_behind():
@@ -278,23 +287,39 @@ def test_probe_pass_leaves_no_gradient_behind():
         assert g.tobytes() == expected[k].tobytes()
     assert all(p.grad is None for p in model.params())
     cand = sparse_update(model, ALL_PAIRS[0], 0.2, 1e-4, grads,
-                         np.random.default_rng(3))
+                         np.random.default_rng(3)).apply(model)
     assert all(p.grad is None for p in cand.params())
 
 
 def test_generate_candidates_discards_degenerate():
     train, _ = toy_data(seed=4)
-    config = toy_config()
+    pairs = (StrategyPair("magnitude", "gradient"),
+             StrategyPair("threshold", "random"),
+             StrategyPair("magnitude", "random"),
+             StrategyPair("threshold", "gradient"))
+    config = toy_config(pairs=pairs)
     model = build_target(config.target, 0.3, np.random.default_rng(4))
     grads = probe_gradients(model, train)
     # a huge threshold wipes whole layers -> both threshold pairs discarded
     candidates, notes = generate_candidates(
         model, config, np.random.default_rng(4), gradients=grads,
-        prune_rate=0.2, tau=1e9, train_data=train)
-    tags = [pair.tag() for pair, _ in candidates]
+        prune_rate=0.2, tau=1e9)
+    tags = [pair.tag() for pair, _, _ in candidates]
     assert tags == ["magnitude:gradient", "magnitude:random"]
     assert len(notes) == 2
     assert all("threshold" in n for n in notes)
+    # a discarded pair still draws its child seed, and draws no tune stream
+    draws = np.random.default_rng(4)
+    children = [draws.integers(2 ** 63) for _ in pairs]
+    tunes = [draws.integers(2 ** 63) for _ in candidates]
+    for (pair, update, tune), child, seed in zip(
+            candidates, (children[0], children[2]), tunes):
+        again = sparse_update(model, pair, 0.2, 1e9, grads,
+                              np.random.default_rng(child))
+        assert masks_and_weights(update.apply(model)) == masks_and_weights(
+            again.apply(model))
+        assert (tune.bit_generator.state
+                == np.random.default_rng(seed).bit_generator.state)
 
 
 def test_generate_candidates_requires_survivor():
@@ -305,8 +330,7 @@ def test_generate_candidates_requires_survivor():
     grads = probe_gradients(model, train)
     with pytest.raises(RuntimeError, match="candidate"):
         generate_candidates(model, config, np.random.default_rng(5),
-                            gradients=grads, prune_rate=0.2, tau=1e9,
-                            train_data=train)
+                            gradients=grads, prune_rate=0.2, tau=1e9)
 
 
 # ---------------------------------------------------------------- full loop
@@ -366,10 +390,10 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
     def spy(*args, **kwargs):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs))
-        tuned, tuned_on = real_finetune(*args, **kwargs)
+        tuned = real_finetune(*args, **kwargs)
         refs.append(weakref.ref(tuned))
         snapshots.append(_attacker_state(copy.deepcopy(tuned)))
-        return tuned, tuned_on
+        return tuned
 
     def iteration_spy(*args, **kwargs):
         model, attacker, tau, report = real_iteration(*args, **kwargs)
@@ -399,23 +423,79 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
 
 def test_run_compression_frees_the_previous_iterations_candidates(
         monkeypatch):
-    refs = []   # weak references to every candidate generated so far
-    alive = []  # earlier candidates alive as each call starts, bar its parent
+    refs = []   # weak references to every model an update built so far
+    alive = []  # those alive as each call starts, bar its parent
     real = orchestrator.generate_candidates
+    real_apply = SparseUpdate.apply
+
+    def apply_spy(update, model):
+        built = real_apply(update, model)
+        refs.append(weakref.ref(built))
+        return built
 
     def spy(model, *args, **kwargs):
+        gc.collect()
         alive.append(sum(ref() is not None and ref() is not model
                          for ref in refs))
-        candidates, notes = real(model, *args, **kwargs)
-        refs.extend(weakref.ref(cand) for _, cand in candidates)
-        return candidates, notes
+        return real(model, *args, **kwargs)
 
+    monkeypatch.setattr(SparseUpdate, "apply", apply_spy)
     monkeypatch.setattr(orchestrator, "generate_candidates", spy)
     config = toy_config(inner_iterations=24, total_epochs=12.0)
     _, reports = run_compression(config, toy_data(seed=6, n_train=256,
                                                   n_test=120))
-    assert len(reports) >= 3 and len(refs) == 4 * len(reports)
+    # four candidates and the adopted model per iteration
+    assert len(reports) >= 3 and len(refs) == 5 * len(reports)
     assert alive == [0] * len(reports)
+
+
+def test_run_compression_builds_one_candidate_at_a_time(monkeypatch):
+    refs = []       # weak references to every model an update built
+    alive = []      # those alive as each one is built, bar its parent
+    fresh = []      # the last built model, until its fine-tune
+    tuned = []      # per iteration: each built model's bytes after its
+                    # fine-tune, in build order
+    adopted = []    # the model each iteration hands to the next
+    real_apply = SparseUpdate.apply
+    real_train = orchestrator.train_phase
+    real_iteration = orchestrator._run_iteration
+
+    def apply_spy(update, model):
+        gc.collect()
+        alive.append(sum(ref() is not None and ref() is not model
+                         for ref in refs))
+        built = real_apply(update, model)
+        refs.append(weakref.ref(built))
+        fresh[:] = refs[-1:]
+        return built
+
+    def train_spy(model, *args, **kwargs):
+        out = real_train(model, *args, **kwargs)
+        if fresh and fresh.pop()() is model:
+            tuned[-1].append(masks_and_weights(model))
+        return out
+
+    def iteration_spy(*args, **kwargs):
+        tuned.append([])
+        model, attacker, tau, report = real_iteration(*args, **kwargs)
+        adopted.append(masks_and_weights(model))
+        return model, attacker, tau, report
+
+    monkeypatch.setattr(SparseUpdate, "apply", apply_spy)
+    monkeypatch.setattr(orchestrator, "train_phase", train_spy)
+    monkeypatch.setattr(orchestrator, "_run_iteration", iteration_spy)
+    config = toy_config(inner_iterations=24, total_epochs=12.0)
+    _, reports = run_compression(config, toy_data(seed=6, n_train=256,
+                                                  n_test=120))
+    assert len(reports) >= 2 and len(refs) == 5 * len(reports)
+    # when a candidate or the adopted model is built, no earlier candidate
+    # is alive; the parent is the previous iteration's adopted model
+    assert alive == [0] * len(refs)
+    for report, built, model in zip(reports, tuned, adopted):
+        k = next(k for k, c in enumerate(report.candidates)
+                 if c.pair == report.selected)
+        assert len(built) == 5
+        assert model == built[k] == built[4]
 
 
 def test_run_compression_single_span_budget():

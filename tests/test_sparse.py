@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseguard.models import TargetSpec, build_target
 from sparseguard.numcore.layers import Linear
 from sparseguard.sparse import (
     ALL_PAIRS,
@@ -275,7 +276,8 @@ def test_sparse_update_rate_rounding_rule():
     er_initialize(net, 0.5, np.random.default_rng(3))
     assert active_count(net) == 10
     pair = StrategyPair("magnitude", "random")
-    out = sparse_update(net, pair, 0.2, 0.0, make_grads(net, rng), np.random.default_rng(4))
+    out = sparse_update(net, pair, 0.2, 0.0, make_grads(net, rng),
+                        np.random.default_rng(4)).apply(net)
     assert active_count(out) == 10
     changed = (out.layers[0].mask != net.layers[0].mask).sum()
     assert changed == 4  # 2 positions left, 2 positions joined
@@ -286,7 +288,8 @@ def test_sparse_update_min_one_rule():
     net = Net([5, 4], rng)
     er_initialize(net, 0.5, np.random.default_rng(3))
     pair = StrategyPair("magnitude", "random")
-    out = sparse_update(net, pair, 0.01, 0.0, make_grads(net, rng), np.random.default_rng(4))
+    out = sparse_update(net, pair, 0.01, 0.0, make_grads(net, rng),
+                        np.random.default_rng(4)).apply(net)
     changed = (out.layers[0].mask != net.layers[0].mask).sum()
     assert changed == 2  # floor(0.01*10) = 0, bumped to 1 pruned + 1 grown
 
@@ -305,7 +308,7 @@ def test_sparse_update_preserves_counts_and_parent():
         tau = float(np.quantile(np.abs(np.concatenate(
             [l.w.data[l.mask == 1.0] for l in net.layers])), 0.2))
         out = sparse_update(net, pair, 0.25, tau, make_grads(net, rng),
-                            np.random.default_rng(trial + 1))
+                            np.random.default_rng(trial + 1)).apply(net)
         assert active_count(out) == before
         for layer, w, m in zip(net.layers, snapshot, masks):
             assert np.array_equal(layer.w.data, w)
@@ -320,7 +323,7 @@ def test_sparse_update_prune_and_grow_disjoint():
     er_initialize(net, 0.3, np.random.default_rng(2))
     parent_masks = [l.mask.copy() for l in net.layers]
     out = sparse_update(net, StrategyPair("magnitude", "gradient"), 0.3, 0.0,
-                        make_grads(net, rng), np.random.default_rng(3))
+                        make_grads(net, rng), np.random.default_rng(3)).apply(net)
     for k, layer in enumerate(out.layers):
         pruned = (parent_masks[k] == 1.0) & (layer.mask == 0.0)
         grown = (parent_masks[k] == 0.0) & (layer.mask == 1.0)
@@ -361,7 +364,8 @@ def near_dense_net():
 ], ids=lambda v: v.tag() if isinstance(v, StrategyPair) else None)
 def test_sparse_update_near_dense_regrowth_is_pinned(pair, grown):
     net, grads = near_dense_net()
-    out = sparse_update(net, pair, 0.3, 0.3, grads, np.random.default_rng(23))
+    out = sparse_update(net, pair, 0.3, 0.3, grads,
+                        np.random.default_rng(23)).apply(net)
     # grown weights start at 0 and every surviving parent weight is nonzero
     assert [np.flatnonzero((l.mask == 1.0) & (l.w.data == 0.0)).tolist()
             for l in out.layers] == grown
@@ -374,7 +378,8 @@ def test_sparse_update_dense_layer_keeps_mask(pair):
     first = net.layers[0]
     first.mask[...] = 1.0
     first.w.data[...] = np.random.default_rng(24).normal(0.0, 0.5, (3, 4))
-    out = sparse_update(net, pair, 0.3, 0.3, grads, np.random.default_rng(23))
+    out = sparse_update(net, pair, 0.3, 0.3, grads,
+                        np.random.default_rng(23)).apply(net)
     w = first.w.data.reshape(-1)
     if pair.prune == "magnitude":
         pruned = np.argsort(np.abs(w), kind="stable")[:3]
@@ -385,6 +390,127 @@ def test_sparse_update_dense_layer_keeps_mask(pair):
     expected[pruned] = 0.0
     assert np.array_equal(out.layers[0].mask, first.mask)
     assert np.array_equal(out.layers[0].w.data.reshape(-1), expected)
+
+
+def reference_update(model, pair, prune_rate, tau, dense_gradients, rng):
+    """The sparse update as it was made before it became a plan: prune and
+    regrow a deep copy in place, growth by gradient ranked with a full
+    lexsort. The planned update must match it bit for bit."""
+    new = copy.deepcopy(model)
+    layers = new.masked_layers()
+
+    def set_mask(k, chosen, value):
+        layers[k].mask.reshape(-1)[chosen] = value
+        layers[k].w.data.reshape(-1)[chosen] = 0.0
+
+    def grow(k, pool, count):
+        if count and pair.grow == "gradient":
+            g = np.asarray(dense_gradients[k]).reshape(-1)
+            order = np.lexsort((pool, -np.abs(g[pool])))
+            set_mask(k, pool[order[:count]], True)
+        elif count:
+            set_mask(k, rng.choice(pool, size=count, replace=False), True)
+
+    plan = []
+    for k, layer in enumerate(layers):
+        w, m = layer.w.data.reshape(-1), layer.mask.reshape(-1)
+        act = int(np.count_nonzero(m))
+        pool = np.flatnonzero(~m)
+        if pair.prune == "magnitude":
+            count = max(math.floor(prune_rate * act), int(act > 1))
+            live = np.flatnonzero(m)
+            pruned = np.sort(live[np.lexsort((live, np.abs(w[live])))[:count]])
+        else:
+            pruned = np.flatnonzero(m & (np.abs(w) < tau))
+            if act > 0 and pruned.size == act:
+                raise DegenerateUpdateError(f"layer {k}")
+        set_mask(k, pruned, False)
+        plan.append((pool, pruned))
+    for k, (pool, pruned) in enumerate(plan):
+        grow(k, pool, min(pruned.size, pool.size))
+    for k, (pool, pruned) in enumerate(plan):
+        grow(k, pruned, max(pruned.size - pool.size, 0))
+    return new
+
+
+def layer_bytes(model):
+    """Every weight (with the sign of each zero) and mask of a model."""
+    tensors = model.params() if hasattr(model, "params") else [
+        l.w for l in model.masked_layers()]
+    return ([p.data.tobytes() for p in tensors]
+            + [l.mask.tobytes() for l in model.masked_layers()])
+
+
+def update_cases():
+    """(name, model, gradients, tau): MLP and CNN targets with Gaussian and
+    heavily tied gradients, the near-dense nets and a threshold that wipes
+    out the second layer only."""
+    rng = np.random.default_rng(31)
+    mlp = build_target(TargetSpec(kind="mlp", input_shape=(12,), classes=4,
+                                  hidden=(32, 16)), 0.3, rng)
+    cnn = build_target(TargetSpec(kind="cnn", input_shape=(1, 8, 8),
+                                  classes=3, channels=(4, 8)), 0.4, rng)
+    for name, model in (("mlp", mlp), ("cnn", cnn)):
+        pooled = np.concatenate([np.abs(l.w.data[l.mask])
+                                 for l in model.masked_layers()])
+        tau = float(np.quantile(pooled, 0.3))
+        normal = make_grads(model, rng)
+        tied = {k: np.round(g) for k, g in make_grads(model, rng).items()}
+        yield f"{name}-normal", model, normal, tau
+        yield f"{name}-tied", model, tied, tau
+    net, grads = near_dense_net()
+    yield "near-dense", net, grads, 0.3
+    dense, grads = near_dense_net()
+    dense.layers[0].mask[...] = True
+    dense.layers[0].w.data[...] = rng.normal(0.0, 0.5, (3, 4))
+    yield "dense-layer", dense, grads, 0.3
+    wiped, grads = near_dense_net()
+    wiped.layers[1].w.data[wiped.layers[1].mask] = 1e-3
+    yield "wiped-second-layer", wiped, grads, 0.01
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=StrategyPair.tag)
+def test_planned_update_matches_the_deep_copy_update_bitwise(pair):
+    for name, model, grads, tau in update_cases():
+        for rate in (0.1, 0.3, 0.6):
+            parent = layer_bytes(model)
+            planned_rng = np.random.default_rng(41)
+            reference_rng = np.random.default_rng(41)
+            try:
+                expected = reference_update(model, pair, rate, tau, grads,
+                                            reference_rng)
+            except DegenerateUpdateError:
+                expected = None
+            if expected is None:
+                with pytest.raises(DegenerateUpdateError):
+                    sparse_update(model, pair, rate, tau, grads, planned_rng)
+            else:
+                update = sparse_update(model, pair, rate, tau, grads,
+                                       planned_rng)
+                assert layer_bytes(model) == parent, name
+                assert layer_bytes(update.apply(model)) == layer_bytes(
+                    expected), (name, rate)
+            assert (planned_rng.bit_generator.state
+                    == reference_rng.bit_generator.state), (name, rate)
+    # the last case is degenerate for the threshold pairs
+    assert (expected is None) == (pair.prune == "threshold")
+
+
+def test_grow_gradient_takes_the_lowest_indices_tied_at_the_cutoff():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n = int(rng.integers(20, 120))
+        mask = rng.random(n) < 0.3
+        # magnitudes 0..3 only, so most entries tie with the cutoff
+        grads = rng.integers(-3, 4, size=n).astype(np.float64)
+        _, layer = single_layer(rng.normal(size=n) * mask, mask)
+        pool = inactive_pool(layer)
+        count = int(rng.integers(0, pool.size + 1))
+        grown = grow_gradient(layer, grads.reshape(1, -1), pool, count)
+        reference = sorted(pool, key=lambda i: (-abs(grads[i]), i))[:count]
+        assert grown.tolist() == sorted(reference)
+        assert np.flatnonzero(layer.mask).tolist() == sorted(
+            np.flatnonzero(mask).tolist() + reference)
 
 
 def test_strategy_pairs_enumeration():
