@@ -188,6 +188,10 @@ def _load_csv(d: Csv) -> tuple[LabeledSet, LabeledSet]:
     x, y = _parse_delimited(d.path, d.delimiter)
     if d.test_path is not None:
         tx, ty = _parse_delimited(d.test_path, d.delimiter)
+        if tx.shape[1] != x.shape[1]:
+            raise ValueError(
+                f"dataset test_path {d.test_path} has {tx.shape[1] + 1} "
+                f"columns, but path {d.path} has {x.shape[1] + 1}")
         return LabeledSet(x, y), LabeledSet(tx, ty)
     perm = np.random.default_rng(d.seed).permutation(len(y))
     n_test = int(np.floor(d.test_fraction * len(y)))

@@ -33,8 +33,7 @@ class CaseResult:
         return self.max_rel_err < TOLERANCE
 
 
-def check_case(name: str, builder, rng: np.random.Generator,
-               step: float = STEP) -> CaseResult:
+def check_case(name: str, builder, rng: np.random.Generator) -> CaseResult:
     """Run one named case: analytic gradients vs central differences."""
     params, loss_fn = builder(rng)
     with Tape() as tape:
@@ -46,12 +45,12 @@ def check_case(name: str, builder, rng: np.random.Generator,
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             hi = float(loss_fn().data)
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             lo = float(loss_fn().data)
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * STEP)
             ga = g.reshape(-1)[i]
             err = abs(fd - ga) / max(abs(fd), abs(ga), 1e-6)
             worst = max(worst, err)
@@ -200,8 +199,7 @@ CASES = {
 }
 
 
-def run_cases(names=None, seed: int = 0, step: float = STEP,
-              extra=None) -> list[CaseResult]:
+def run_cases(names=None, seed: int = 0, extra=None) -> list[CaseResult]:
     """Run the selected (default: all) cases and return per-case results."""
     registry = dict(CASES)
     if extra:
@@ -215,7 +213,7 @@ def run_cases(names=None, seed: int = 0, step: float = STEP,
         if name not in registry:
             raise ValueError(f"unknown gradient case: {name!r}")
         rng = np.random.default_rng(seed)
-        results.append(check_case(name, registry[name], rng, step=step))
+        results.append(check_case(name, registry[name], rng))
     return results
 
 

@@ -42,20 +42,13 @@ def training_loss(probabilities: Tensor, labels, variant: str,
     raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _unpack(dataset):
-    if isinstance(dataset, tuple):
-        return dataset
-    return dataset.x, dataset.y
-
-
 def task_accuracy(model, dataset) -> float:
-    """Fraction of rows whose argmax posterior matches the label; argmax ties
-    break to the lowest class index."""
-    x, y = _unpack(dataset)
-    if len(x) == 0:
+    """Fraction of a `LabeledSet`'s rows whose argmax posterior matches the
+    label; argmax ties break to the lowest class index."""
+    if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    preds = posteriors(model, x).argmax(axis=1)
-    return float(np.mean(preds == np.asarray(y)))
+    preds = posteriors(model, dataset.x).argmax(axis=1)
+    return float(np.mean(preds == dataset.y))
 
 
 def tm_score(task_acc: float, mia_acc: float, lam: float) -> float:

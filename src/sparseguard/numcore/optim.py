@@ -4,14 +4,12 @@ Both steppers honor parameter masks: the update is multiplied by the bool
 mask, so mask-inactive weights stay exactly ±0 however many steps run (the
 rule of `Parameter`).
 Each step consumes `grad` (None afterwards), so a step with no backward pass
-before it fails. Both write into a gradient array that owns its memory and
-backs no other parameter's gradient, so a caller that still reads a gradient
-array after a step must pass a copy.
+before it fails. Both write into `grad`, which `Tape.backward` hands each
+parameter as an array of its own; a caller that still reads a gradient
+array after a step must keep a copy.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -25,36 +23,20 @@ ADAM_EPS = 1e-8
 def sgd_step(params, learning_rate: float) -> None:
     """Plain SGD, no momentum: value <- value - lr * gradient.
 
-    The update is written into the gradient it consumes (see `_scratch`),
-    first scaled by the rate, then gated by the mask; this has the bits of
-    the out-of-place product. Each parameter's update is checked finite
-    before that parameter moves."""
+    The update is written into the gradient it consumes, first scaled by
+    the rate, then gated by the mask; this has the bits of the out-of-place
+    product. Each parameter's update is checked finite before that
+    parameter moves."""
     if any(p.grad is None for p in params):
         raise TypeError("sgd_step needs a gradient for every parameter")
-    held = _holders(params)
     for p in params:
-        g = p.grad
-        update = g if _scratch(g, held) else np.empty(g.shape)
-        np.multiply(g, learning_rate, out=update)
+        update = p.grad
+        np.multiply(update, learning_rate, out=update)
         if p.mask is not None:
             np.multiply(update, p.mask, out=update)
         check_finite(update, "sgd update")
         p.data -= update
         p.grad = None
-
-
-def _holders(params) -> Counter:
-    """How many of the parameters' gradients each array's memory backs: a
-    gradient may be a view of another's, or one array may be two
-    parameters' gradient (`ops.add` hands one `g` to both parents)."""
-    return Counter(id(p.grad if p.grad.base is None else p.grad.base)
-                   for p in params)
-
-
-def _scratch(g: np.ndarray, held: Counter) -> bool:
-    """Whether a gradient may be overwritten: it owns its memory and no
-    other parameter's gradient is it or a view of it."""
-    return g.base is None and g.flags.writeable and held[id(g)] == 1
 
 
 class AdamState:
@@ -74,11 +56,8 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
     in-place ops on that parameter's views of the flat moments, so no
     gathered copy of all gradients is made. Every parameter's update is
     written to one flat buffer and checked finite before any parameter
-    moves.
-
-    A gradient array serves as scratch space once its moments are updated,
-    when `_scratch` allows; otherwise a temporary of the parameter's size
-    does."""
+    moves. Each gradient serves as scratch space once its moments are
+    updated."""
     if any(p.grad is None for p in params):
         raise TypeError("adam_step needs a gradient for every parameter")
     if sum(p.data.size for p in params) != state.m.size:
@@ -87,7 +66,6 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
         raise ValueError("every gradient must have its parameter's shape")
     state.t += 1
     t = state.t
-    held = _holders(params)
     step = np.empty_like(state.m)
     segments, start = [], 0
     for p in params:
@@ -106,11 +84,10 @@ def adam_step(params, state: AdamState, learning_rate: float) -> None:
         np.add(v, seg, out=v)
         np.divide(m, 1.0 - ADAM_BETA1 ** t, out=seg)
         np.multiply(seg, learning_rate, out=seg)
-        scratch = g if _scratch(g, held) else np.empty(shape)
-        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        np.add(scratch, ADAM_EPS, out=scratch)
-        np.divide(seg, scratch, out=seg)
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, ADAM_EPS, out=g)
+        np.divide(seg, g, out=seg)
         if p.mask is not None:
             np.multiply(seg, p.mask, out=seg)
         segments.append(seg)

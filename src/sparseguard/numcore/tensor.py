@@ -3,7 +3,8 @@
 Ops (see ops.py) append nodes to the innermost active Tape in execution
 order; Tape.backward walks them in exact reverse, which is a reverse
 topological order by construction, and sets `grad` on each Parameter it
-reaches. Everything is float64, and NaN/Inf is an error, not a warning.
+reaches, with an array that Parameter alone holds (see Tape.backward).
+Everything is float64, and NaN/Inf is an error, not a warning.
 Finite checks run on each data leaf and op output when its Tensor is built,
 on each Parameter gradient once per backward pass (not on the intermediate
 adjoints; see Tape.backward), and on each optimizer update before any
@@ -144,6 +145,13 @@ class Tape:
         recorded ops in reverse. Each Parameter reached gets `grad` set to its
         summed adjoint; no other tensor keeps one.
 
+        Ownership: each `grad` set here is an array that owns its memory
+        and that no other Parameter's `grad` is or views, so an optimizer
+        may overwrite it. An adjoint is copied only when it is a view
+        (`reshape`'s, `concat`'s split, a conv weight gradient's reshape)
+        or was already handed to another Parameter in this pass (`add`
+        hands one `g` to both parents).
+
         Each node is popped off the tape as the walk reaches it, so the tape
         releases the buffers its backward closure holds during the walk, and
         a consumed tape holds nothing. A second call still raises
@@ -188,5 +196,10 @@ class Tape:
                 adjoints[key] = pg
         for key in reached:
             check_finite(adjoints[key], "gradient")
+        handed = set()
         for key, parameter in reached.items():
-            parameter.grad = adjoints[key]
+            g = adjoints[key]
+            if g.base is not None or id(g) in handed:
+                g = g.copy()
+            handed.add(id(g))
+            parameter.grad = g

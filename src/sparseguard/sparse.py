@@ -193,33 +193,6 @@ def _largest_gradient(gradient, pool: np.ndarray, count: int) -> np.ndarray:
     return pool[chosen]
 
 
-def prune_magnitude(layer, count: int) -> np.ndarray:
-    """Deactivate the count smallest-|w| active weights of a layer; ties go
-    to the lowest flat index. Returns the removed flat indices, ascending."""
-    return _set_mask(layer, _smallest_active(layer, count), False)
-
-
-def prune_threshold(layer, tau: float) -> np.ndarray:
-    """Deactivate every active weight of a layer with |w| < tau. Returns the
-    removed flat indices, ascending."""
-    return _set_mask(layer, _below_threshold(layer, tau), False)
-
-
-def grow_gradient(layer, gradient, pool: np.ndarray, count: int) -> np.ndarray:
-    """Activate the count positions of pool (ascending inactive flat indices)
-    with the largest |dL/dw| in the dense pre-mask gradient; ties go to the
-    lowest flat index. Returns the grown flat indices, ascending."""
-    return _set_mask(layer, _largest_gradient(gradient, pool, count), True)
-
-
-def grow_random(layer, pool: np.ndarray, count: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Activate count positions of pool (ascending inactive flat indices),
-    uniformly without replacement. Returns the grown flat indices."""
-    return _set_mask(layer, rng.choice(pool, size=count, replace=False),
-                     True)
-
-
 @dataclass(frozen=True)
 class SparseUpdate:
     """One planned prune-and-regrow step: per masked layer, the flat indices

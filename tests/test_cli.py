@@ -411,6 +411,23 @@ def test_run_one_row_csv_split_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.jsonl").exists()
 
 
+def test_run_csv_test_file_with_other_column_count_exits_2(tmp_path, capsys):
+    test_path = tmp_path / "test.csv"
+    test_path.write_text("".join(row.replace(",", ",0.5,", 1) + "\n"
+                                 for row in TOY_CSV_ROWS[:32]))
+    train_path = _toy_csv(tmp_path, TOY_CSV_ROWS)["path"]
+    dataset = {"kind": "csv", "path": train_path, "test_path": str(test_path)}
+    out_dir = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TOY_CONFIG, out_dir=str(out_dir),
+                                    dataset=dataset)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dataset test_path {test_path} has 6 columns, but path "
+        f"{train_path} has 5\n")
+    assert not (out_dir / "report.jsonl").exists()
+
+
 # the overflow is the case under test; whether numpy also warns about it
 # inside matmul depends on the numpy version
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -210,6 +210,15 @@ def test_csv_two_files(tmp_path):
     assert len(train) == 12 and len(test) == 6
 
 
+def test_csv_test_file_with_other_column_count_rejected(tmp_path):
+    (tmp_path / "train.csv").write_text("1.0,2.0,0\n1.5,2.5,1\n")
+    (tmp_path / "test.csv").write_text("1.0,2.0,3.0,0\n1.5,2.5,3.5,1\n")
+    with pytest.raises(ValueError, match=r"test\.csv has 4 columns, but path "
+                                         r".*train\.csv has 3"):
+        load_dataset({"kind": "csv", "path": str(tmp_path / "train.csv"),
+                      "test_path": str(tmp_path / "test.csv")})
+
+
 def test_csv_bad_cell_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,0\n1.5,oops,1\n")

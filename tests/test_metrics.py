@@ -4,6 +4,7 @@ the regularized losses, and known-good TM-score rows."""
 import numpy as np
 import pytest
 
+from sparseguard.data import LabeledSet
 from sparseguard.metrics import (
     loss_re1,
     loss_re2,
@@ -145,27 +146,28 @@ def test_task_accuracy_constant_predictor():
     x = np.zeros((40, 3))
     y = np.repeat(np.arange(4), 10)
     model = ConstantModel([0.7, 0.1, 0.1, 0.1])
-    assert task_accuracy(model, (x, y)) == pytest.approx(0.25)
+    assert task_accuracy(model, LabeledSet(x, y)) == pytest.approx(0.25)
 
 
 def test_task_accuracy_oracle_and_worst_case():
     y = np.array([0, 1, 1, 0])
     onehot = np.eye(2)[y]
-    assert task_accuracy(ConstantModel([1.0, 0.0]), (np.zeros((4, 2)), y)) == 0.5
+    rows = LabeledSet(np.zeros((4, 2)), y)
+    assert task_accuracy(ConstantModel([1.0, 0.0]), rows) == 0.5
     perfect = 1.0 - 0.0
 
     class Oracle:
         def __call__(self, x):
             return Tensor(onehot)
 
-    assert task_accuracy(Oracle(), (np.zeros((4, 2)), y)) == perfect
+    assert task_accuracy(Oracle(), rows) == perfect
     flipped = np.eye(2)[1 - y]
 
     class Wrong:
         def __call__(self, x):
             return Tensor(flipped)
 
-    assert task_accuracy(Wrong(), (np.zeros((4, 2)), y)) == 0.0
+    assert task_accuracy(Wrong(), rows) == 0.0
 
 
 # ---------------------------------------------------------------- tm_score

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparseguard.attack import attack_outputs
+from sparseguard.data import LabeledSet
 from sparseguard.metrics import task_accuracy
 from sparseguard.models import (
     Attacker,
@@ -55,7 +56,7 @@ def test_chunked_inference_matches_one_forward_pass():
     y = rng.integers(0, 4, size=2500)
     whole = model(x).data
     assert np.array_equal(posteriors(model, x), whole)
-    assert task_accuracy(model, (x, y)) == float(
+    assert task_accuracy(model, LabeledSet(x, y)) == float(
         np.mean(whole.argmax(axis=1) == y))
     attacker = build_attacker("blackbox", model, rng)
     features = np.concatenate([whole, np.eye(4)[y]], axis=1)

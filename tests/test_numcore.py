@@ -262,35 +262,77 @@ def _out_of_place_sgd(params, learning_rate):
         p.grad = None
 
 
-def test_sgd_in_place_matches_the_out_of_place_step_bitwise():
-    rng = np.random.default_rng(15)
-    shapes = [(6, 5), (5,), (3, 2, 2), (4, 3), (4, 3), (12,), (2, 6)]
-    mask = rng.random((6, 5)) < 0.4
+def _aliasing_params(rng):
+    """Parameters of `_aliasing_loss`, the first one masked."""
+    mask = rng.random((3, 4)) < 0.5
+    shapes = [(3, 4), (3, 4), (12,), (3, 4), (3, 1), (3, 3), (2, 1, 3, 3),
+              (2,)]
     init = [rng.normal(size=s) for s in shapes]
     init[0] *= mask
+    return [Parameter(init[0], mask=mask)] + [Parameter(a) for a in init[1:]]
 
-    def make():
-        return ([Parameter(init[0].copy(), mask=mask.copy())]
-                + [Parameter(a.copy()) for a in init[1:]])
 
-    flat, ref = make(), make()
+def _aliasing_loss(params, rng):
+    """A loss whose adjoints reach its parameters shared or as views: `add`
+    hands one array to both of its parents, here to the first, second and
+    fourth parameter alike and, through `reshape`'s view, to the third;
+    `concat` hands back split views of it; and `conv2d` hands back its
+    weight gradient as a reshaped `einsum` result."""
+    a, b, r, q, c1, c2, w, bias = params
+    coef = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=(3, 4))
+    image = rng.normal(size=(2, 1, 4, 4))
+    with Tape() as tape:
+        summed = ops.add(ops.add(ops.add(a, b),
+                                 ops.add(ops.reshape(r, (3, 4)), q)),
+                         ops.concat([c1, c2], axis=1))
+        conv = ops.conv2d(Tensor(image), w, bias)
+        loss = ops.add(ops.tsum(ops.mul(summed, Tensor(coef))),
+                       ops.tsum(ops.mul(conv, conv)))
+    return tape, loss
+
+
+def _aliasing_pair(seed):
+    return (_aliasing_params(np.random.default_rng(seed)),
+            _aliasing_params(np.random.default_rng(seed)))
+
+
+def _backward_both(flat, ref, rng):
+    seed = int(rng.integers(2 ** 31))
+    for params in (flat, ref):
+        tape, loss = _aliasing_loss(params, np.random.default_rng(seed))
+        tape.backward(loss)
+
+
+def test_backward_hands_each_parameter_a_gradient_of_its_own():
+    params = _aliasing_params(np.random.default_rng(16))
+    tape, loss = _aliasing_loss(params, np.random.default_rng(17))
+    tape.backward(loss)
+    for i, p in enumerate(params):
+        assert p.grad.base is None and p.grad.flags.writeable
+        assert p.grad.shape == p.data.shape
+        for q in params[i + 1:]:
+            assert not np.shares_memory(p.grad, q.grad)
+    # the values are the adjoints all the same
+    a, b, r, q, c1, c2 = params[:6]
+    assert np.array_equal(a.grad, q.grad) and np.array_equal(b.grad, q.grad)
+    assert np.array_equal(r.grad, q.grad.reshape(12))
+    assert np.array_equal(np.concatenate([c1.grad, c2.grad], axis=1), q.grad)
+
+
+def test_sgd_in_place_matches_the_out_of_place_step_bitwise():
+    rng = np.random.default_rng(15)
+    flat, ref = _aliasing_pair(14)
     for _ in range(50):
-        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 2), size=s)
-                 for s in shapes[:4]]
-        owner = rng.normal(size=12)
-        # one array as two parameters' gradient, as ops.add hands it back,
-        # and an array with a view of it as another parameter's gradient
-        grads += [grads[3], owner, owner.reshape(2, 6)]
-        for p, q, g in zip(flat, ref, grads):
-            p.grad, q.grad = g, g.copy()
+        _backward_both(flat, ref, rng)
         lr = float(rng.uniform(0.01, 0.5))
         sgd_step(flat, lr)
         _out_of_place_sgd(ref, lr)
     for p, q in zip(flat, ref):
         assert p.data.tobytes() == q.data.tobytes()
         assert p.grad is None
-    assert np.all(flat[0].data[~mask] == 0.0)
-    assert not np.array_equal(flat[0].data, init[0])
+    init = _aliasing_params(np.random.default_rng(14))
+    assert np.all(flat[0].data[~flat[0].mask] == 0.0)
+    assert not any(np.array_equal(p.data, q.data) for p, q in zip(flat, init))
 
 
 def test_sgd_writes_its_update_into_an_owned_gradient():
@@ -398,29 +440,20 @@ def test_adam_matches_the_per_parameter_update_bitwise():
 
 
 def test_adam_with_shared_gradient_arrays_matches_the_reference_bitwise():
-    # a gradient that is another parameter's gradient, or a view of it, must
-    # not serve as scratch space: the other parameter still reads it
+    # the adjoints reaching these parameters are shared or views; each
+    # gradient `Tape.backward` hands out must still serve Adam as scratch
     rng = np.random.default_rng(13)
-    init = [rng.normal(size=s) for s in [(3, 4), (3, 4), (12,), (2, 6)]]
-
-    def make():
-        return [Parameter(a.copy()) for a in init]
-
-    flat, ref = make(), make()
+    flat, ref = _aliasing_pair(12)
     state = AdamState(flat)
-    m = [np.zeros(a.shape) for a in init]
-    v = [np.zeros(a.shape) for a in init]
+    m = [np.zeros(p.data.shape) for p in ref]
+    v = [np.zeros(p.data.shape) for p in ref]
     for t in range(1, 4):
-        shared = rng.normal(size=(3, 4))
-        owner = rng.normal(size=12)
-        flat[0].grad = flat[1].grad = shared
-        flat[2].grad, flat[3].grad = owner, owner.reshape(2, 6)
-        for q, g in zip(ref, [shared, shared, owner, owner.reshape(2, 6)]):
-            q.grad = g.copy()
+        _backward_both(flat, ref, rng)
         adam_step(flat, state, 0.01)
         _per_parameter_adam(ref, m, v, t, 0.01)
     for p, q in zip(flat, ref):
         assert p.data.tobytes() == q.data.tobytes()
+        assert p.grad is None
 
 
 def test_adam_gathers_no_copy_of_the_gradients():

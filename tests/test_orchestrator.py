@@ -11,7 +11,7 @@ import pytest
 from sparseguard import orchestrator
 from sparseguard.data import load_dataset
 from sparseguard.models import TargetSpec, build_target
-from sparseguard.numcore import NonFiniteError, Tape
+from sparseguard.numcore import NonFiniteError, Parameter, Tape
 from sparseguard.numcore import ops
 from sparseguard.orchestrator import (
     CandidateScore,
@@ -496,6 +496,39 @@ def test_run_compression_builds_one_candidate_at_a_time(monkeypatch):
                  if c.pair == report.selected)
         assert len(built) == 5
         assert model == built[k] == built[4]
+
+
+@pytest.mark.parametrize("target, mode, dim", [
+    (TargetSpec(kind="mlp", input_shape=(4,), classes=3, hidden=(16, 12)),
+     "blackbox", 4),
+    (TargetSpec(kind="cnn", input_shape=(1, 4, 4), classes=3,
+                channels=(2, 4), kernel=3), "whitebox", 16),
+], ids=["mlp-blackbox", "cnn-whitebox"])
+def test_every_backward_pass_hands_out_gradients_of_their_own(
+        monkeypatch, target, mode, dim):
+    real = Tape.backward
+    ranks = set()  # the ranks of the gradients handed out
+
+    def spy(tape, loss):
+        params = {p.key: p for _, parents, _ in tape._nodes
+                  for p in parents if isinstance(p, Parameter)}
+        real(tape, loss)
+        grads = [p.grad for p in params.values()]
+        assert grads and all(g.base is None for g in grads)
+        assert not any(np.shares_memory(g, h)
+                       for i, g in enumerate(grads) for h in grads[i + 1:])
+        ranks.update(g.ndim for g in grads)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    config = toy_config(target=target, attacker_mode=mode,
+                        inner_iterations=8, total_epochs=4.0)
+    datasets = load_dataset({"kind": "blobs", "classes": 3, "n_train": 128,
+                             "n_test": 64, "dim": dim, "seed": 5})
+    _, reports = run_compression(config, datasets)
+    assert reports
+    # the CNN run hands out conv2d (rank 4) and conv1d (rank 3) weight
+    # gradients, which reach backward as reshaped views
+    assert ranks == ({1, 2} if mode == "blackbox" else {1, 2, 3, 4})
 
 
 def test_run_compression_single_span_budget():

@@ -12,16 +12,16 @@ from sparseguard.numcore.layers import Linear
 from sparseguard.sparse import (
     ALL_PAIRS,
     DegenerateUpdateError,
+    SparseUpdate,
     StrategyPair,
+    _below_threshold,
+    _largest_gradient,
+    _smallest_active,
     active_count,
     calibrate_epsilon,
     er_initialize,
     er_probability,
-    grow_gradient,
-    grow_random,
-    prune_magnitude,
     prune_rate_at,
-    prune_threshold,
     sparse_update,
 )
 
@@ -60,6 +60,16 @@ def single_layer(weights, mask):
 def inactive_pool(layer):
     """A layer's inactive flat indices, ascending: the pool growth draws from."""
     return np.flatnonzero(layer.mask.reshape(-1) == 0.0)
+
+
+def applied(net, pruned=(), grown=()):
+    """The only layer of a copy of net after a plan that prunes, then grows
+    the given flat indices."""
+    pruned = np.asarray(pruned, dtype=np.int64)
+    grown = np.asarray(grown, dtype=np.int64)
+    active = active_count(net) - pruned.size + grown.size
+    plan = SparseUpdate((pruned,), (grown,), (pruned[:0],), (active,))
+    return plan.apply(net).layers[0]
 
 
 # ------------------------------------------------------------ ER formulas
@@ -162,22 +172,23 @@ def test_sparsity_direct_counts():
 
 
 def test_prune_magnitude_frozen_cases():
-    _, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
-    removed = prune_magnitude(layer, 2)
+    net, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
+    removed = _smallest_active(layer, 2)
     assert removed.tolist() == [1, 3]
-    assert layer.w.data[0, 1] == 0.0 and layer.mask[0, 1] == 0.0
+    pruned = applied(net, pruned=removed)
+    assert pruned.w.data[0, 1] == 0.0 and pruned.mask[0, 1] == 0.0
 
     _, layer = single_layer([0.5, 0.5, 0.1], [1, 1, 1])
-    assert prune_magnitude(layer, 1).tolist() == [2]
+    assert _smallest_active(layer, 1).tolist() == [2]
 
     _, layer = single_layer([0.2, -0.2], [1, 1])
-    assert prune_magnitude(layer, 1).tolist() == [0]
+    assert _smallest_active(layer, 1).tolist() == [0]
 
 
 def test_prune_magnitude_count_too_large():
     _, layer = single_layer([0.5, 0.0], [1, 0])
     with pytest.raises(ValueError):
-        prune_magnitude(layer, 2)
+        _smallest_active(layer, 2)
 
 
 def test_prune_magnitude_brute_force_oracle():
@@ -192,38 +203,39 @@ def test_prune_magnitude_brute_force_oracle():
             continue
         count = int(rng.integers(0, act.size + 1))
         _, layer = single_layer(weights, mask)
-        removed = set(prune_magnitude(layer, count).tolist())
+        removed = set(_smallest_active(layer, count).tolist())
         reference = sorted(act, key=lambda i: (abs(weights[i]), i))[:count]
         assert removed == set(reference)
 
 
 def test_prune_threshold_frozen_cases():
     _, layer = single_layer([0.5, -0.01, 0.3, 0.002], [1, 1, 1, 1])
-    assert prune_threshold(layer, 0.05).tolist() == [1, 3]
+    assert _below_threshold(layer, 0.05).tolist() == [1, 3]
 
     _, layer = single_layer([0.5, -0.01], [1, 1])
-    assert prune_threshold(layer, 0.0).tolist() == []
+    assert _below_threshold(layer, 0.0).tolist() == []
 
     _, layer = single_layer([0.5, -0.01, 0.3], [1, 1, 1])
-    assert prune_threshold(layer, np.inf).tolist() == [0, 1, 2]
+    assert _below_threshold(layer, np.inf).tolist() == [0, 1, 2]
 
 
 # ------------------------------------------------------------------ growth
 
 
 def test_grow_gradient_frozen_case():
-    _, layer = single_layer([0.4, 0.0, 0.0, 0.0, 0.2], [1, 0, 0, 0, 1])
+    net, layer = single_layer([0.4, 0.0, 0.0, 0.0, 0.2], [1, 0, 0, 0, 1])
     grads = np.array([[5.0, 0.9, 1.2, 0.05, 5.0]])
-    grown = grow_gradient(layer, grads, inactive_pool(layer), 2)
+    grown = _largest_gradient(grads, inactive_pool(layer), 2)
     assert sorted(grown.tolist()) == [1, 2]
-    assert layer.w.data[0, 1] == 0.0 and layer.mask[0, 1] == 1.0
-    assert grow_gradient(layer, grads, inactive_pool(layer), 0).tolist() == []
+    out = applied(net, grown=grown)
+    assert out.w.data[0, 1] == 0.0 and out.mask[0, 1] == 1.0
+    assert _largest_gradient(grads, inactive_pool(layer), 0).tolist() == []
 
 
 def test_grow_gradient_tie_breaks_low_index():
     _, layer = single_layer([1.0, 0.0, 0.0], [1, 0, 0])
     grads = np.array([[0.0, 0.7, -0.7]])
-    assert grow_gradient(layer, grads, inactive_pool(layer), 1).tolist() == [1]
+    assert _largest_gradient(grads, inactive_pool(layer), 1).tolist() == [1]
 
 
 def test_grow_gradient_brute_force_oracle():
@@ -238,27 +250,32 @@ def test_grow_gradient_brute_force_oracle():
             continue
         count = int(rng.integers(0, inactive.size + 1))
         _, layer = single_layer(weights, mask)
-        grown = set(grow_gradient(layer, grads.reshape(1, -1), inactive_pool(layer),
-                                  count).tolist())
+        grown = set(_largest_gradient(grads, inactive_pool(layer),
+                                      count).tolist())
         reference = sorted(inactive, key=lambda i: (-abs(grads[i]), i))[:count]
         assert grown == set(reference)
 
 
 def test_grow_random_forced_and_deterministic():
-    _, layer = single_layer([0.5, 0.0, 0.7], [1, 0, 1])
-    assert grow_random(layer, inactive_pool(layer), 1,
-                       np.random.default_rng(3)).tolist() == [1]
+    # one of two active weights is pruned, and one inactive position is left
+    pair = StrategyPair("magnitude", "random")
+    net, _ = single_layer([0.5, 0.0, 0.7], [1, 0, 1])
+    plan = sparse_update(net, pair, 0.3, 0.0, {}, np.random.default_rng(3))
+    assert [g.tolist() for g in plan.grown] == [[1]]
 
     rng = np.random.default_rng(11)
     net2 = Net([10, 6, 4], rng)
     er_initialize(net2, 0.3, np.random.default_rng(1))
 
     def grow_both(net):
-        draw = np.random.default_rng(77)
-        return [grow_random(l, inactive_pool(l), c, draw).tolist()
-                for l, c in zip(net.layers, (5, 2))]
+        return sparse_update(net, pair, 0.3, 0.0, {},
+                             np.random.default_rng(77))
 
-    assert grow_both(copy.deepcopy(net2)) == grow_both(copy.deepcopy(net2))
+    plan = grow_both(net2)
+    assert [g.size for g in plan.grown] == [p.size for p in plan.pruned]
+    assert all(g.size for g in plan.grown)
+    assert ([g.tolist() for g in plan.grown]
+            == [g.tolist() for g in grow_both(copy.deepcopy(net2)).grown])
 
 
 # ----------------------------------------------------------- sparse_update
@@ -503,14 +520,14 @@ def test_grow_gradient_takes_the_lowest_indices_tied_at_the_cutoff():
         mask = rng.random(n) < 0.3
         # magnitudes 0..3 only, so most entries tie with the cutoff
         grads = rng.integers(-3, 4, size=n).astype(np.float64)
-        _, layer = single_layer(rng.normal(size=n) * mask, mask)
+        net, layer = single_layer(rng.normal(size=n) * mask, mask)
         pool = inactive_pool(layer)
         count = int(rng.integers(0, pool.size + 1))
-        grown = grow_gradient(layer, grads.reshape(1, -1), pool, count)
+        grown = _largest_gradient(grads.reshape(1, -1), pool, count)
         reference = sorted(pool, key=lambda i: (-abs(grads[i]), i))[:count]
         assert grown.tolist() == sorted(reference)
-        assert np.flatnonzero(layer.mask).tolist() == sorted(
-            np.flatnonzero(mask).tolist() + reference)
+        assert np.flatnonzero(applied(net, grown=grown).mask).tolist() == (
+            sorted(np.flatnonzero(mask).tolist() + reference))
 
 
 def test_strategy_pairs_enumeration():
