@@ -4,7 +4,8 @@ The lifecycle mirrors how the framework stress-tests a compressed model: split
 the target's data into halves the adversary does and does not know, turn model
 behavior on those halves into attack examples, train a binary attacker on
 balanced member/non-member batches, and score membership accuracy and log
-gain on the held-out halves.
+gain on the held-out halves. Attack examples are a `LabeledSet`: each row of
+`x` is one example's features, and `y` is 1 for a member, 0 for a non-member.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from .data import LabeledSet
 from .models import MODES, posteriors
 from .numcore import Tape
 from .numcore import ops
+from .numcore.ops import CLAMP
 from .numcore.optim import adam_step
 
 HALF_BATCH = 64
-CLAMP = 1e-12
 
 
 @dataclass
@@ -32,28 +33,6 @@ class AttackSplits:
     known_test: LabeledSet
     unknown_train: LabeledSet
     unknown_test: LabeledSet
-
-
-@dataclass
-class AttackExamples:
-    """Batched attack examples: one feature row and membership flag each."""
-
-    features: np.ndarray
-    membership: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.membership = np.asarray(self.membership, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2d matrix")
-        if self.membership.shape != (self.features.shape[0],):
-            raise ValueError("membership must align with feature rows")
-        bad = set(np.unique(self.membership)) - {0, 1}
-        if bad:
-            raise ValueError(f"membership flags must be 0/1, got {sorted(bad)}")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 def split_for_attack(train_set: LabeledSet, test_set: LabeledSet,
@@ -93,7 +72,7 @@ def _feature_rows(target, ds: LabeledSet, mode: str) -> np.ndarray:
 
 
 def extract_examples(target, splits: AttackSplits,
-                     mode: str) -> tuple[AttackExamples, AttackExamples]:
+                     mode: str) -> tuple[LabeledSet, LabeledSet]:
     """Build the attack-train and attack-eval example sets for one target.
 
     Attack-train pairs the known halves (train rows are members); attack-eval
@@ -109,7 +88,7 @@ def extract_examples(target, splits: AttackSplits,
                                 _feature_rows(target, nonmembers, mode)], axis=0)
         flags = np.concatenate([np.ones(len(members), dtype=np.int64),
                                 np.zeros(len(nonmembers), dtype=np.int64)])
-        out.append(AttackExamples(feats, flags))
+        out.append(LabeledSet(feats, flags))
     return out[0], out[1]
 
 
@@ -126,12 +105,16 @@ def _class_stream(idx: np.ndarray, need: int,
     return np.concatenate(parts)
 
 
-def train_attacker(attacker, examples: AttackExamples, epochs: int,
+def train_attacker(attacker, examples: LabeledSet, epochs: int,
                    rng: np.random.Generator, *, learning_rate: float,
                    batch_hook=None):
-    """Train the attacker on balanced 64+64 member/non-member batches."""
-    members = np.flatnonzero(examples.membership == 1)
-    nonmembers = np.flatnonzero(examples.membership == 0)
+    """Train the attacker on balanced 64+64 member/non-member batches of
+    attack examples, whose labels are 0/1 membership flags."""
+    bad = np.setdiff1d(examples.y, (0, 1))
+    if bad.size:
+        raise ValueError(f"membership flags must be 0/1, got {bad.tolist()}")
+    members = np.flatnonzero(examples.y == 1)
+    nonmembers = np.flatnonzero(examples.y == 0)
     if len(members) == 0 or len(nonmembers) == 0:
         raise ValueError("attacker training needs both membership classes")
     params = attacker.params()
@@ -144,8 +127,8 @@ def train_attacker(attacker, examples: AttackExamples, epochs: int,
         for b in range(batches):
             sel = slice(b * HALF_BATCH, (b + 1) * HALF_BATCH)
             rows = np.concatenate([member_stream[sel], nonmember_stream[sel]])
-            feats = examples.features[rows]
-            targets = examples.membership[rows].astype(np.float64)
+            feats = examples.x[rows]
+            targets = examples.y[rows].astype(np.float64)
             if batch_hook is not None:
                 batch_hook(feats, targets)
             with Tape() as tape:
@@ -180,16 +163,23 @@ def attack_outputs(attacker, features: np.ndarray) -> np.ndarray:
     return posteriors(attacker, features)
 
 
-def balanced_accuracy(outputs: np.ndarray, membership: np.ndarray) -> float:
-    """Mean of per-class accuracies under the (output >= 0.5) decision rule."""
+def class_accuracies(outputs: np.ndarray,
+                     membership: np.ndarray) -> tuple[float, float]:
+    """(member, non-member) accuracy under the (output >= 0.5) decision
+    rule."""
     preds = np.asarray(outputs) >= 0.5
     membership = np.asarray(membership)
     member_rows = membership == 1
     nonmember_rows = membership == 0
     if not member_rows.any() or not nonmember_rows.any():
-        raise ValueError("balanced accuracy needs both membership classes")
-    acc_member = float(preds[member_rows].mean())
-    acc_nonmember = float((~preds[nonmember_rows]).mean())
+        raise ValueError("per-class accuracy needs both membership classes")
+    return (float(preds[member_rows].mean()),
+            float((~preds[nonmember_rows]).mean()))
+
+
+def balanced_accuracy(outputs: np.ndarray, membership: np.ndarray) -> float:
+    """Mean of the member and non-member accuracies."""
+    acc_member, acc_nonmember = class_accuracies(outputs, membership)
     return 0.5 * (acc_member + acc_nonmember)
 
 
@@ -202,19 +192,13 @@ def log_gain(outputs: np.ndarray, membership: np.ndarray) -> float:
     return float(member_terms.sum() + nonmember_terms.sum())
 
 
-def _eval_examples(attacker, target, splits: AttackSplits) -> AttackExamples:
-    _, attack_eval = extract_examples(target, splits, attacker.spec.mode)
-    return attack_eval
-
-
 def mia_accuracy(attacker, target, splits: AttackSplits) -> float:
     """Balanced membership accuracy on the held-out (unknown) halves."""
-    ev = _eval_examples(attacker, target, splits)
-    return balanced_accuracy(attack_outputs(attacker, ev.features),
-                             ev.membership)
+    ev = extract_examples(target, splits, attacker.spec.mode)[1]
+    return balanced_accuracy(attack_outputs(attacker, ev.x), ev.y)
 
 
 def mia_gain(attacker, target, splits: AttackSplits) -> float:
     """Log-gain diagnostic on the held-out halves; 0 is a perfect attacker."""
-    ev = _eval_examples(attacker, target, splits)
-    return log_gain(attack_outputs(attacker, ev.features), ev.membership)
+    ev = extract_examples(target, splits, attacker.spec.mode)[1]
+    return log_gain(attack_outputs(attacker, ev.x), ev.y)

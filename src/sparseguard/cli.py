@@ -14,6 +14,7 @@ from . import pin_heap
 from .attack import (
     MODES,
     attack_outputs,
+    class_accuracies,
     extract_examples,
     mia_accuracy,
     mia_gain,
@@ -117,10 +118,8 @@ def cmd_attack_eval(args) -> int:
                        learning_rate=RunConfig.attacker_learning_rate)
         acc = mia_accuracy(attacker, ckpt.model, splits)
         gain = mia_gain(attacker, ckpt.model, splits)
-        outputs = attack_outputs(attacker, attack_eval.features)
-        preds = outputs >= 0.5
-        member_acc = float(preds[attack_eval.membership == 1].mean())
-        nonmember_acc = float((~preds[attack_eval.membership == 0]).mean())
+        member_acc, nonmember_acc = class_accuracies(
+            attack_outputs(attacker, attack_eval.x), attack_eval.y)
     except (ValueError, FloatingPointError) as exc:
         return _fail(str(exc), 1)
     print(f"mode: {mode}")

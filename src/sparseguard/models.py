@@ -24,6 +24,7 @@ from .sparse import er_initialize
 
 ATTACKER_INIT_STD = 0.01
 MODES = ("blackbox", "whitebox")  # attacker modes
+CHUNK = 1024  # rows per forward pass in `posteriors`
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> Sp
     return model
 
 
-def posteriors(model, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Batched inference outside any tape, for any model that maps an array
-    to a Tensor (targets and attackers alike)."""
-    parts = [model(x[i:i + chunk]).data for i in range(0, len(x), chunk)]
+def posteriors(model, x: np.ndarray) -> np.ndarray:
+    """Batched inference outside any tape, `CHUNK` rows at a time, for any
+    model that maps an array to a Tensor (targets and attackers alike)."""
+    parts = [model(x[i:i + CHUNK]).data for i in range(0, len(x), CHUNK)]
     return np.concatenate(parts, axis=0)
 
 

@@ -85,6 +85,12 @@ class RunConfig:
         if not self.pairs or not all(isinstance(p, StrategyPair)
                                      for p in self.pairs):
             raise ValueError("field pairs must be non-empty StrategyPairs")
+        repeated = [p.tag() for i, p in enumerate(self.pairs)
+                    if p in self.pairs[:i]]
+        if repeated:
+            # a report names each candidate by its tag alone
+            raise ValueError(f"field pairs must be distinct, but "
+                             f"{repeated[0]} appears more than once")
         if self.inner_iterations == 0 and self.candidate_finetune_epochs == 0:
             raise ValueError("fields inner_iterations and "
                              "candidate_finetune_epochs must not both be 0")
@@ -182,13 +188,6 @@ def rank(score: CandidateScore) -> tuple:
     attack accuracy, then the fixed strategy order (magnitude before
     threshold, gradient before random)."""
     return (-score.tm_score, score.mia_acc, score.pair.prune, score.pair.grow)
-
-
-def select_best(scores: list) -> StrategyPair:
-    """The pair of the first score that `rank` puts lowest."""
-    if not scores:
-        raise ValueError("no candidate scores to select from")
-    return min(scores, key=rank).pair
 
 
 def _probe_gradients(model, probe_x, probe_y, config: RunConfig) -> dict:
@@ -322,8 +321,7 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
             leader = (scores[-1], update, *replay)
         del cand, tuned
 
-    selected = select_best(scores)
-    _, update, tune, job = leader
+    best, update, tune, job = leader
     model = fine_tuned(update.apply(model), tune)
     if config.attacker_finetune_epochs:
         known = extract_examples(model, run.splits, config.attacker_mode)[0]
@@ -337,7 +335,7 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
     wall = 0.0 if config.deterministic else time.perf_counter() - started
     report = IterationReport(
         iteration=iteration, candidates=tuple(scores),
-        selected=selected,
+        selected=best.pair,
         cumulative_epochs=cumulative + run.per_iteration_epochs,
         wall_time_s=wall, active_weights=run.initial_active,
         prune_rate=rate, tau=tau, notes=tuple(notes))

@@ -99,11 +99,15 @@ def _check_record(record) -> None:
 
 
 def _selected_scores(record: dict) -> dict:
-    for cand in record["candidates"]:
-        if cand["pair"] == record["selected"]:
-            return cand
-    raise ValueError(f"report line {record.get('iteration')}: selected pair "
-                     "missing from candidates")
+    chosen = [c for c in record["candidates"]
+              if c["pair"] == record["selected"]]
+    where = f"report line {record.get('iteration')}: selected pair"
+    if not chosen:
+        raise ValueError(f"{where} missing from candidates")
+    if len(chosen) > 1:  # a run never writes one; candidates are distinct
+        raise ValueError(f"{where} {record['selected']} names "
+                         f"{len(chosen)} candidates")
+    return chosen[0]
 
 
 def summary_record(records: list[dict]) -> dict:

@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from sparseguard.attack import (
-    AttackExamples,
     extract_examples,
     mia_accuracy,
     split_for_attack,
     train_attacker,
 )
-from sparseguard.data import load_dataset
+from sparseguard.data import LabeledSet, load_dataset
 from sparseguard.gradcheck import TOLERANCE, run_cases, worst_case
 from sparseguard.metrics import task_accuracy, tm_score
 from sparseguard.models import (
@@ -238,8 +237,8 @@ def test_05_attack_signal_sanity(overfit_bundle, verdict):
 
 def test_06_balanced_batches(verdict):
     rng = np.random.default_rng(5)
-    examples = AttackExamples(rng.standard_normal((480, 6)),
-                              np.array([1] * 300 + [0] * 180))
+    examples = LabeledSet(rng.standard_normal((480, 6)),
+                          np.array([1] * 300 + [0] * 180))
     counts = []
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=3),
                         np.random.default_rng(5))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sparseguard.attack import (
-    AttackExamples,
     balanced_accuracy,
+    class_accuracies,
     extract_examples,
     finetune_attacker,
     log_gain,
@@ -136,12 +136,12 @@ def test_blackbox_feature_length_and_labels():
     train, test = toy_sets(20, 10, dim=3, classes=4, seed=1)
     splits = split_for_attack(train, test, np.random.default_rng(1))
     at, ae = extract_examples(target, splits, "blackbox")
-    assert at.features.shape == (15, 8)
-    assert ae.features.shape == (15, 8)
+    assert at.x.shape == (15, 8)
+    assert ae.x.shape == (15, 8)
     # members first (known_train), then non-members (known_test)
-    assert at.membership.tolist() == [1] * 10 + [0] * 5
-    np.testing.assert_allclose(at.features[:, :4].sum(axis=1), 1.0, atol=1e-6)
-    onehot = at.features[:10, 4:]
+    assert at.y.tolist() == [1] * 10 + [0] * 5
+    np.testing.assert_allclose(at.x[:, :4].sum(axis=1), 1.0, atol=1e-6)
+    onehot = at.x[:10, 4:]
     np.testing.assert_array_equal(onehot.argmax(axis=1), splits.known_train.y)
     np.testing.assert_allclose(onehot.sum(axis=1), 1.0)
 
@@ -152,7 +152,7 @@ def test_whitebox_feature_length_spec_case():
     train, test = toy_sets(12, 8, dim=5, classes=4, seed=2)
     splits = split_for_attack(train, test, np.random.default_rng(2))
     at, _ = extract_examples(target, splits, "whitebox")
-    assert at.features.shape[1] == 4 + 4 + 1 + 68
+    assert at.x.shape[1] == 4 + 4 + 1 + 68
 
 
 def test_whitebox_loss_and_gradient_match_autodiff():
@@ -172,7 +172,7 @@ def test_whitebox_loss_and_gradient_match_autodiff():
             out = target(x)
             loss = ops.cross_entropy(out, y)
         tape.backward(loss)
-        row = at.features[k]
+        row = at.x[k]
         assert abs(row[2 * c] - loss.data) < 1e-9
         grad = row[2 * c + 1:]
         expected = np.concatenate([head.w.grad.ravel(), head.b.grad.ravel()])
@@ -196,11 +196,11 @@ def separable_examples(n_per_class=200, classes=2, seed=0, gap=1.5):
     nonmembers = rng.normal(-gap, 1.0, size=(n_per_class, f))
     feats = np.concatenate([members, nonmembers], axis=0)
     mem = np.concatenate([np.ones(n_per_class), np.zeros(n_per_class)])
-    return AttackExamples(feats, mem.astype(np.int64))
+    return LabeledSet(feats, mem.astype(np.int64))
 
 
 def test_train_attacker_rejects_single_class():
-    ex = AttackExamples(np.zeros((10, 4)), np.ones(10, dtype=np.int64))
+    ex = LabeledSet(np.zeros((10, 4)), np.ones(10, dtype=np.int64))
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
                         np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -208,11 +208,24 @@ def test_train_attacker_rejects_single_class():
                        learning_rate=0.001)
 
 
+def test_train_attacker_rejects_labels_other_than_0_and_1():
+    ex = separable_examples(n_per_class=20)
+    ex.y[[3, 30]] = [2, -1]
+    attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
+                        np.random.default_rng(0))
+    before = [p.data.tobytes() for p in attacker.params()]
+    with pytest.raises(ValueError,
+                       match=r"^membership flags must be 0/1, got \[-1, 2\]$"):
+        train_attacker(attacker, ex, epochs=1, rng=np.random.default_rng(0),
+                       learning_rate=0.001)
+    assert [p.data.tobytes() for p in attacker.params()] == before
+
+
 def test_balanced_batches_exact_composition():
     ex = separable_examples(n_per_class=150)
     # unbalance the classes: drop some non-members
     keep = np.concatenate([np.arange(150), 150 + np.arange(70)])
-    ex = AttackExamples(ex.features[keep], ex.membership[keep])
+    ex = LabeledSet(ex.x[keep], ex.y[keep])
     attacker = Attacker(AttackerSpec(mode="blackbox", classes=2),
                         np.random.default_rng(0))
     seen = []
@@ -244,8 +257,8 @@ def test_attacker_learns_separable_features():
                         np.random.default_rng(4))
     train_attacker(attacker, ex, epochs=15, rng=np.random.default_rng(4),
                    learning_rate=0.001)
-    out = attacker(ex.features).data
-    assert balanced_accuracy(out, ex.membership) > 0.95
+    out = attacker(ex.x).data
+    assert balanced_accuracy(out, ex.y) > 0.95
 
 
 def test_train_attacker_deterministic():
@@ -256,7 +269,7 @@ def test_train_attacker_deterministic():
             AttackerSpec(mode="blackbox", classes=2), np.random.default_rng(5))
         train_attacker(attacker, ex, epochs=3, rng=np.random.default_rng(5),
                        learning_rate=0.001)
-        outs.append(attacker(ex.features[:10]).data.tobytes())
+        outs.append(attacker(ex.x[:10]).data.tobytes())
     assert outs[0] == outs[1]
 
 
@@ -370,6 +383,15 @@ def test_balanced_accuracy_weights_classes_equally():
     out = np.array([0.9] * 8 + [0.9, 0.1])
     # members all right (1.0), non-members half right (0.5)
     assert balanced_accuracy(out, mem) == pytest.approx(0.75)
+
+
+def test_class_accuracies_split_what_balanced_accuracy_averages():
+    mem = np.array([1] * 8 + [0] * 2, dtype=np.int64)
+    out = np.array([0.9] * 6 + [0.2] * 2 + [0.9, 0.1])
+    assert class_accuracies(out, mem) == (0.75, 0.5)
+    assert balanced_accuracy(out, mem) == 0.5 * (0.75 + 0.5)
+    with pytest.raises(ValueError, match="both membership classes"):
+        class_accuracies(out[:8], mem[:8])
 
 
 def test_constant_half_attacker_scores_half():

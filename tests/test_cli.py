@@ -172,6 +172,9 @@ def test_run_missing_config_file(tmp_path):
      "2 ** len(channels) = 4, got [1, 6, 6]"),
     ({"early_stop": True, "early_stop_patience": 0},
      "field early_stop_patience must be >= 1, got 0"),
+    ({"pairs": ["magnitude:random"] * 4},
+     "field pairs must be distinct, but magnitude:random appears more than "
+     "once"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -186,7 +189,7 @@ def test_run_missing_config_file(tmp_path):
         "nan milestone", "negative dataset count", "nan dataset std",
         "zero hidden width", "negative hidden width", "zero cnn kernel",
         "zero cnn channels", "flat cnn input", "cnn side not divisible",
-        "zero early-stop patience"])
+        "zero early-stop patience", "repeated pair"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)
@@ -508,8 +511,11 @@ def _report_line(change):
      "malformed report line 2: missing field: iterations"),
     (_report_line(lambda r: dict(r, selected="threshold:random")),
      "report line 1: selected pair missing from candidates"),
+    (_report_line(lambda r: dict(r, candidates=r["candidates"] * 2)),
+     "report line 1: selected pair magnitude:gradient names 2 candidates"),
 ], ids=["list", "string", "no candidates", "no task_acc",
-        "number candidate", "no iterations", "selected not a candidate"])
+        "number candidate", "no iterations", "selected not a candidate",
+        "selected names two candidates"])
 def test_report_malformed_line_exits_1(tmp_path, capsys, line, message):
     path = tmp_path / "report.jsonl"
     path.write_text(_report_line(lambda r: r) + "\n" + line + "\n"

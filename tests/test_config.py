@@ -62,6 +62,20 @@ def test_parse_translates_target_and_pairs():
     assert run_cfg.target.input_shape == (2,)
 
 
+def test_repeated_pair_rejected():
+    # a report names each candidate by its tag alone
+    doc = dict(MINIMAL, pairs=["magnitude:random", "threshold:gradient",
+                               "magnitude:random", "magnitude:random"])
+    with pytest.raises(ValueError, match="^field pairs must be distinct, but "
+                                         "magnitude:random appears more than "
+                                         "once$"):
+        parse_config(json.dumps(doc))
+    with pytest.raises(ValueError, match="threshold:gradient appears"):
+        RunConfig(omega=0.1, target=TargetSpec(kind="mlp", input_shape=(2,),
+                                               classes=4),
+                  pairs=(StrategyPair("threshold", "gradient"),) * 2)
+
+
 def test_bad_pair_tag():
     with pytest.raises(ValueError, match="prune:grow"):
         parse_pair_tag("magnitude")

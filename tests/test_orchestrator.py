@@ -19,8 +19,8 @@ from sparseguard.orchestrator import (
     RunConfig,
     generate_candidates,
     learning_rate_at,
+    rank,
     run_compression,
-    select_best,
     train_phase,
 )
 from sparseguard.sparse import (
@@ -145,19 +145,18 @@ def test_select_best_spec_tie_case():
         score(ALL_PAIRS[2], 0.5, 0.45, 1.10),
         score(ALL_PAIRS[3], 0.7, 0.56, 1.35),
     ]
-    assert select_best(scores) == ALL_PAIRS[1]
+    # the loop adopts the first candidate that `rank` puts lowest
+    assert min(scores, key=rank).pair == ALL_PAIRS[1]
 
 
 def test_select_best_full_tie_uses_pair_order():
     scores = [score(p, 0.5, 0.5, 1.0) for p in reversed(ALL_PAIRS)]
-    assert select_best(scores) == StrategyPair("magnitude", "gradient")
+    assert min(scores, key=rank).pair == StrategyPair("magnitude", "gradient")
 
 
-def test_select_best_single_and_empty():
+def test_select_best_single_candidate():
     only = [score(ALL_PAIRS[2], 0.4, 0.5, 0.8)]
-    assert select_best(only) == ALL_PAIRS[2]
-    with pytest.raises(ValueError):
-        select_best([])
+    assert min(only, key=rank).pair == ALL_PAIRS[2]
 
 
 def test_select_best_scale_invariance():
@@ -169,7 +168,7 @@ def test_select_best_scale_invariance():
                 for p, t, m in zip(ALL_PAIRS, tasks, mias)]
         scaled = [score(p, 3.7 * t, m, 3.7 * t / m)
                   for p, t, m in zip(ALL_PAIRS, tasks, mias)]
-        assert select_best(base) == select_best(scaled)
+        assert min(base, key=rank).pair == min(scaled, key=rank).pair
 
 
 # ---------------------------------------------------------------- training
@@ -376,7 +375,7 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
         monkeypatch.setattr(orchestrator, "mia_accuracy", lambda *a: 0.5)
         pairs = tuple(reversed(ALL_PAIRS))
     elif scoring == "patched rank":
-        # the loop must adopt by the same ranking select_best applies
+        # the loop must adopt by the patched ranking
         favourite = StrategyPair("threshold", "gradient")
         monkeypatch.setattr(orchestrator, "rank",
                             lambda s: (s.pair != favourite, s.pair.tag()))
@@ -408,12 +407,13 @@ def test_run_compression_keeps_only_the_leading_tuned_attacker(monkeypatch,
     assert len(reports) >= 2 and len(snapshots) == 4 * len(reports)
     assert alive == [0] * len(snapshots)
     # each iteration adopts its selected candidate's tuned attacker, bit for
-    # bit, and selects by the ranking select_best applies
+    # bit, and selects the first candidate that `rank` puts lowest
     for i, report in enumerate(reports):
         k = next(k for k, c in enumerate(report.candidates)
                  if c.pair == report.selected)
         assert adopted[i] == snapshots[4 * i + k]
-        assert report.selected == select_best(list(report.candidates))
+        assert report.selected == min(report.candidates,
+                                      key=orchestrator.rank).pair
     if scoring == "tied":
         assert {r.selected for r in reports} == {StrategyPair("magnitude",
                                                               "gradient")}

@@ -79,6 +79,16 @@ def test_summary_record_trajectory():
         summary_record([])
 
 
+def test_selected_tag_naming_two_candidates_rejected():
+    rec = record(1)
+    rec["candidates"][1]["pair"] = "magnitude:gradient"
+    for render in (summary_record, pretty_table):
+        with pytest.raises(ValueError, match="^report line 1: selected pair "
+                                             "magnitude:gradient names 2 "
+                                             "candidates$"):
+            render([rec])
+
+
 def test_pretty_table_renders():
     recs = [record(1), record(2)]
     recs.append(summary_record(recs))
