@@ -1,11 +1,10 @@
 """Binary model checkpoints: magic prefix, JSON header, raw arrays, bitsets.
 
 Layout: b"SFCMP1" | u32 little-endian header length | header JSON (UTF-8) |
-every parameter array as little-endian float64 in model.params() order |
+the model's one parameter array (its store) as little-endian float64 |
 every mask as a little-bit-order packed bitset in masked_layers() order.
-The header is declared once, as `Header`: saving writes its fields, and
-loading checks the parsed header against them (`document.check_document`)
-and the recorded target spec like a config's, rebuilds the architecture
+The header is declared once, as `Header`: saving writes its fields; loading
+checks the header and its target spec like a config's, rebuilds the model
 from the spec, and restores finite weights bit-exactly and masks exactly,
 holding them to the sparse-topology rule: a mask-0 weight must be ±0.
 """
@@ -88,8 +87,7 @@ def save_checkpoint(path, model: SparseModel, *, iteration: int, seed: int,
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            for p in params:
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            fh.write(params[0].store.astype("<f8", copy=False))
             for m in masks:
                 bits = np.packbits(m.reshape(-1), bitorder="little")
                 fh.write(bits.tobytes())
@@ -128,11 +126,11 @@ def load_checkpoint(path) -> Checkpoint:
         params = model.params()
         if [list(p.data.shape) for p in params] != header.param_shapes:
             raise ValueError("checkpoint/spec mismatch: parameter shapes differ")
-        for p in params:
-            raw = _read_exact(fh, p.data.size * 8, "weights")
-            p.data[...] = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
-            if not np.all(np.isfinite(p.data)):
-                raise ValueError("checkpoint holds non-finite weights")
+        store = params[0].store
+        store[...] = np.frombuffer(
+            _read_exact(fh, store.size * 8, "weights"), dtype="<f8")
+        if not np.all(np.isfinite(store)):
+            raise ValueError("checkpoint holds non-finite weights")
         layers = model.masked_layers()
         if [list(l.mask.shape) for l in layers] != header.mask_shapes:
             raise ValueError("checkpoint/spec mismatch: mask shapes differ")

@@ -50,19 +50,19 @@ def cmd_run(args) -> int:
             config = dataclasses.replace(config, deterministic=True)
         datasets = load_dataset(dataset)
         check_dataset_fits(config.target, datasets)
+        out_dir = Path(out_dir if args.out_dir is None else args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path = out_dir / "report.jsonl"
+        fh = open(report_path, "w", encoding="utf-8")
     except (OSError, TypeError, ValueError) as exc:
         return _fail(str(exc), 2)
-
-    out_dir = Path(out_dir if args.out_dir is None else args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.jsonl"
 
     def checkpointer(report, model):
         save_checkpoint(out_dir / f"checkpoint_{report.iteration:04d}.bin",
                         model, iteration=report.iteration, seed=config.seed,
                         dataset=dataset, attacker_mode=config.attacker_mode)
 
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with fh:
         sink = lambda report: write_record(fh, report.as_record())
         try:
             model, reports = run_compression(config, datasets,

@@ -9,6 +9,7 @@ feature-wise using statistics computed on the training split only.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -71,8 +72,8 @@ class Spirals:
 @dataclass(frozen=True)
 class Csv:
     """Descriptor of kind "csv": delimited text, last column the integer
-    label, optional header row. The test split is a second file, or a
-    seeded fraction of the first."""
+    label, and row 1 a header if none of its cells is a number. The test
+    split is a second file, or a seeded fraction of the first."""
 
     path: str
     test_path: str | None = None
@@ -127,13 +128,11 @@ def _parse_delimited(path: str, delimiter: str) -> tuple[np.ndarray, np.ndarray]
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
-    start = 0
-    first = lines[0].split(delimiter)
-    try:
-        [float(c) for c in first[:-1]]
-        int(first[-1])
-    except ValueError:
-        start = 1  # header row
+    start = 1  # row 1 is a header only if none of its cells is a number
+    for cell in lines[0].split(delimiter):
+        with contextlib.suppress(ValueError):
+            float(cell)
+            start = 0
     width = None
     for i, line in enumerate(lines[start:], start=start + 1):
         cells = line.split(delimiter)

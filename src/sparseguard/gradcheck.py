@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics
 from .models import Attacker, AttackerSpec
-from .numcore import Tape, Tensor
+from .numcore import Tape, Tensor, share_storage
 from .numcore import ops
 from .numcore.layers import Conv1d, Conv2d, Linear
 
@@ -36,24 +36,21 @@ class CaseResult:
 def check_case(name: str, builder, rng: np.random.Generator) -> CaseResult:
     """Run one named case: analytic gradients vs central differences."""
     params, loss_fn = builder(rng)
+    values = share_storage(params)
     with Tape() as tape:
         loss = loss_fn()
     tape.backward(loss)
-    analytic = [p.grad for p in params]
+    analytic = params[0].grad.base
     worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + STEP
-            hi = float(loss_fn().data)
-            flat[i] = orig - STEP
-            lo = float(loss_fn().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * STEP)
-            ga = g.reshape(-1)[i]
-            err = abs(fd - ga) / max(abs(fd), abs(ga), 1e-6)
-            worst = max(worst, err)
+    for i, orig in enumerate(values.tolist()):
+        values[i] = orig + STEP
+        hi = float(loss_fn().data)
+        values[i] = orig - STEP
+        lo = float(loss_fn().data)
+        values[i] = orig
+        fd = (hi - lo) / (2.0 * STEP)
+        err = abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6)
+        worst = max(worst, err)
     return CaseResult(name, worst)
 
 
@@ -154,7 +151,7 @@ def _rescale(attacker, rng):
     # production init is near zero; for finite differences that parks ReLU
     # pre-activations inside the probe step, so redraw at O(1) magnitudes
     for p in attacker.params():
-        p.data = rng.normal(0.0, 0.5, size=p.data.shape)
+        p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
     return attacker
 
 

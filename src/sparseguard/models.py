@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .document import at_least, check_ranges, one_of
-from .numcore import Tensor, ops
-from .numcore.layers import Conv1d, Conv2d, Linear, Reshape, Sequential
+from .numcore import Tensor, ops, share_storage
+from .numcore.layers import Conv1d, Conv2d, Linear, Reshape, Sequential, forward
 from .numcore.optim import AdamState
 from .sparse import er_initialize
 
@@ -73,8 +73,8 @@ class SparseModel(Sequential):
     def penultimate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (posteriors, input activation of the final linear layer)."""
         head = self.layers.index(self.last_weight_layer())
-        hidden = Sequential(self.layers[:head])(x)
-        return Sequential(self.layers[head:])(hidden).data, hidden.data
+        hidden = forward(self.layers[:head], x)
+        return forward(self.layers[head:], hidden).data, hidden.data
 
 
 def build_target(spec: TargetSpec, omega: float, rng: np.random.Generator) -> SparseModel:
@@ -188,6 +188,7 @@ class Attacker:
             self.streams += [self.loss_stream, self.grad_stream]
             self.feature_length += 1 + g
         self.fusion = _fusion(len(self.streams) * spec.embed, spec, rng)
+        share_storage(self.params())
         self.opt_state = AdamState(self.params())
 
     def __call__(self, features) -> Tensor:

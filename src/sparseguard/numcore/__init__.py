@@ -10,6 +10,7 @@ from .tensor import (
     active_tape,
     as_tensor,
     check_finite,
+    share_storage,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "as_tensor",
     "check_finite",
     "ops",
+    "share_storage",
 ]

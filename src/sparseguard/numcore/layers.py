@@ -1,11 +1,10 @@
 """Layer objects: thin parameter holders that call ops under the active tape.
 
 Stateless layers are the op functions themselves (`ops.relu`, `ops.softmax`,
-`ops.flatten`, `ops.maxpool2`): a `Sequential` calls every item on the
-running tensor. A masked layer stores its bool mask on the weight
-Parameter itself, so optimizers and sparse bookkeeping see one source of
-truth; a pruned weight holds ±0 (see `Parameter`), so no op takes the mask.
-Biases are always dense.
+`ops.flatten`, `ops.maxpool2`), called in turn by `forward`. A masked layer
+keeps its bool mask on the weight Parameter (a pruned weight holds ±0, so no
+op takes the mask); biases are dense. A `Weighted` layer and a `Sequential`
+each move their parameters into one array when built.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import Parameter, Tensor, as_tensor
+from .tensor import Parameter, Tensor, as_tensor, share_storage
 
 
 class Weighted:
@@ -27,6 +26,7 @@ class Weighted:
         self.w = Parameter(w, mask=np.ones(shape, dtype=bool) if masked
                            else None)
         self.b = Parameter(np.zeros(shape[0]))
+        share_storage(self.params())
 
     @property
     def mask(self):
@@ -74,15 +74,21 @@ class Reshape:
         return ops.reshape(x, (x.data.shape[0],) + self.sample_shape)
 
 
+def forward(layers, x) -> Tensor:
+    """Call every layer on the running tensor."""
+    x = as_tensor(x)
+    for layer in layers:
+        x = layer(x)
+    return x
+
+
 class Sequential:
     def __init__(self, layers: list):
         self.layers = list(layers)
+        share_storage(self.params())
 
     def __call__(self, x) -> Tensor:
-        x = as_tensor(x)
-        for layer in self.layers:
-            x = layer(x)
-        return x
+        return forward(self.layers, x)
 
     def params(self):
         return [p for layer in self.layers if isinstance(layer, Weighted)

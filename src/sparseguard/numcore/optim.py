@@ -1,12 +1,11 @@
-"""Optimizers: plain SGD and Adam.
+"""Optimizers: plain SGD and Adam, each one step of one whole model.
 
-Both steppers honor parameter masks: the update is multiplied by the bool
-mask, so mask-inactive weights stay exactly ±0 however many steps run (the
-rule of `Parameter`).
-Each step consumes `grad` (None afterwards), so a step with no backward pass
-before it fails. Both write into `grad`, which `Tape.backward` hands each
-parameter as an array of its own; a caller that still reads a gradient
-array after a step must keep a copy.
+`params` is every Parameter of one model in `params()` order, so they tile
+its store and their gradients tile one flat gradient (see tensor.py). A
+step builds its update in that gradient with whole-array ops, multiplies
+each masked slice by its bool mask (mask-0 weights stay ±0, the rule of
+`Parameter`), checks the update finite once and subtracts it from the store
+in place. Each step consumes `grad` (None afterwards).
 """
 
 from __future__ import annotations
@@ -20,78 +19,68 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def sgd_step(params, learning_rate: float) -> None:
-    """Plain SGD, no momentum: value <- value - lr * gradient.
-
-    The update is written into the gradient it consumes, first scaled by
-    the rate, then gated by the mask; this has the bits of the out-of-place
-    product. Each parameter's update is checked finite before that
-    parameter moves."""
+def _flat_gradient(params, step: str) -> np.ndarray:
+    # a step moves the whole store by the flat gradient that the gradients
+    # view (a lone Parameter's, set by hand, is its own), so part of a model,
+    # two models or two passes' gradients would move weights wrongly
     if any(p.grad is None for p in params):
-        raise TypeError("sgd_step needs a gradient for every parameter")
+        raise TypeError(f"{step} needs a gradient for every parameter")
+    grad = params[0].grad
+    flat = grad.reshape(-1) if grad.base is None else grad.base
+    if (sum(p.data.size for p in params) != params[0].store.size
+            or any(p.grad.base is not flat for p in params[1:])):
+        raise ValueError(f"{step} takes every parameter of one model, with "
+                         f"the gradients of one backward pass")
+    return flat
+
+
+def _descend(params, update: np.ndarray, what: str) -> None:
     for p in params:
-        update = p.grad
-        np.multiply(update, learning_rate, out=update)
         if p.mask is not None:
-            np.multiply(update, p.mask, out=update)
-        check_finite(update, "sgd update")
-        p.data -= update
-        p.grad = None
+            np.multiply(p.grad, p.mask, out=p.grad)
+        p.grad = None  # consumed, even by a step that fails its check
+    check_finite(update, what)
+    params[0].store -= update
+
+
+def sgd_step(params, learning_rate: float) -> None:
+    """Plain SGD, no momentum: value <- value - lr * gradient, with the
+    bits of the out-of-place product per parameter."""
+    update = _flat_gradient(params, "sgd_step")
+    np.multiply(update, learning_rate, out=update)
+    _descend(params, update, "sgd update")
 
 
 class AdamState:
-    """First/second moments of every parameter, each held as one flat array
-    laid out in parameter-list order, so a deep copy of (model, state) stays
-    consistent."""
+    """First/second moments, each one flat array laid out like the store,
+    so a deep copy of (model, state) stays consistent."""
 
     def __init__(self, params):
-        size = sum(p.data.size for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(params[0].store.size)
+        self.v = np.zeros_like(self.m)
         self.t = 0
 
 
 def adam_step(params, state: AdamState, learning_rate: float) -> None:
-    """Textbook bias-corrected update, run one parameter at a time with
-    in-place ops on that parameter's views of the flat moments, so no
-    gathered copy of all gradients is made. Every parameter's update is
-    written to one flat buffer and checked finite before any parameter
-    moves. Each gradient serves as scratch space once its moments are
-    updated."""
-    if any(p.grad is None for p in params):
-        raise TypeError("adam_step needs a gradient for every parameter")
-    if sum(p.data.size for p in params) != state.m.size:
-        raise ValueError("parameters do not match the Adam state's size")
-    if any(p.grad.shape != p.data.shape for p in params):
-        raise ValueError("every gradient must have its parameter's shape")
+    """Textbook bias-corrected update, as 13 in-place ufuncs over the flat
+    moments, one scratch array and the flat gradient, which ends up holding
+    the update; it has the bits of the per-parameter update."""
+    g = _flat_gradient(params, "adam_step")
+    m, v = state.m, state.v
+    scratch = np.empty_like(m)
+    # first, so a gradient of another size fails before the state changes
+    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
     state.t += 1
-    t = state.t
-    step = np.empty_like(state.m)
-    segments, start = [], 0
-    for p in params:
-        g, shape = p.grad, p.data.shape
-        stop = start + g.size
-        m = state.m[start:stop].reshape(shape)
-        v = state.v[start:stop].reshape(shape)
-        seg = step[start:stop].reshape(shape)
-        start = stop
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1.0 - ADAM_BETA1, out=seg)
-        np.add(m, seg, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1.0 - ADAM_BETA2, out=seg)
-        np.multiply(seg, g, out=seg)
-        np.add(v, seg, out=v)
-        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=seg)
-        np.multiply(seg, learning_rate, out=seg)
-        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)
-        np.sqrt(g, out=g)
-        np.add(g, ADAM_EPS, out=g)
-        np.divide(seg, g, out=seg)
-        if p.mask is not None:
-            np.multiply(seg, p.mask, out=seg)
-        segments.append(seg)
-    check_finite(step, "adam update")
-    for p, seg in zip(params, segments):
-        p.data -= seg
-        p.grad = None
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.add(m, scratch, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    np.multiply(scratch, g, out=scratch)
+    np.add(v, scratch, out=v)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=scratch)
+    np.multiply(scratch, learning_rate, out=scratch)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, ADAM_EPS, out=g)
+    np.divide(scratch, g, out=g)
+    _descend(params, g, "adam update")

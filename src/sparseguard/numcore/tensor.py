@@ -1,27 +1,26 @@
 """Reverse-mode autodiff core: float64 arrays recorded on an explicit tape.
 
 Ops (see ops.py) append nodes to the innermost active Tape in execution
-order; Tape.backward walks them in exact reverse, which is a reverse
-topological order by construction, and sets `grad` on each Parameter it
-reaches, with an array that Parameter alone holds (see Tape.backward).
-Everything is float64, and NaN/Inf is an error, not a warning.
-Finite checks run on each data leaf and op output when its Tensor is built,
-on each Parameter gradient once per backward pass (not on the intermediate
-adjoints; see Tape.backward), and on each optimizer update before any
-parameter moves.
+order; Tape.backward walks them in exact reverse, a reverse topological
+order by construction. NaN/Inf is an error, not a warning: each data leaf
+and op output is checked when its Tensor is built, each flat gradient once
+per backward pass, and each optimizer update before any parameter moves.
+
+Storage: a model keeps its parameters in one float64 array, its `store`, in
+`params()` order; each `Parameter.data` is a view of its slice (writers
+assign into it, never rebind it), and each `grad` a view of one flat
+gradient per store and backward pass.
 
 `needs_grad` says whether a tensor's adjoint can reach a Parameter: False
-for data, True for every Parameter, and for a recorded op output True if and
-only if some parent needs one. The weighted ops skip input adjoints nobody
-reads.
-
+for data, True for a Parameter, and for an op output True if and only if
+some parent needs one; the weighted ops skip input adjoints nobody reads.
 The tape refers to tensors by `key`, not by reference, so it keeps no
-activation alive: what outlives the forward pass is only what the backward
-closures captured.
+activation alive beyond what the backward closures captured.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -77,19 +76,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor. `grad` holds d(loss)/d(parameter) from the last
-    backward pass until an optimizer step consumes it (None otherwise). An
-    optional mask (same shape) sets the sparse topology by one rule: a
-    weight whose mask entry is 0 holds ±0. The initializer, prune/grow and
-    the optimizers keep it, and checkpoint loading checks it; no op reads the
-    mask, so gradients stay dense, pruned positions included.
+    """Trainable tensor: `data` is `store[offset:offset + data.size]` in
+    `data`'s shape; `grad` holds d(loss)/d(parameter) from the last backward
+    pass until an optimizer step consumes it (else None). An optional mask
+    of the same shape sets the sparse topology: a weight whose mask entry is
+    0 holds ±0 (no op reads the mask, so gradients stay dense). A bool mask
+    is kept as given; any other must hold only 0 and 1 and is stored as a
+    bool copy (a float64 times a bool has the bits of value times 1 or 0)."""
 
-    The mask is stored as a bool array, one byte per entry: a float64 value
-    times a bool has the bits of the same value times 1.0 or 0.0. A bool
-    mask is kept as given; any other mask must hold only 0 and 1 and is
-    stored as a bool copy."""
-
-    __slots__ = ("mask", "grad")
+    __slots__ = ("mask", "grad", "store", "offset")
 
     def __init__(self, data, mask: np.ndarray | None = None):
         super().__init__(data)
@@ -106,6 +101,29 @@ class Parameter(Tensor):
         self.mask = mask
         self.grad = None
         self.needs_grad = True
+        share_storage([self])
+
+    def slot(self, flat: np.ndarray) -> np.ndarray:
+        """This Parameter's view of an array laid out like its store."""
+        return flat[self.offset:][:self.data.size].reshape(self.data.shape)
+
+    def __deepcopy__(self, memo):
+        # the store's first copy goes into `memo`, for its other Parameters
+        new = copy.copy(self)
+        for name in ("store", "mask", "grad"):
+            setattr(new, name, copy.deepcopy(getattr(self, name), memo))
+        new.data = self.slot(new.store)
+        return new
+
+
+def share_storage(params) -> np.ndarray:
+    """Move `params`, values kept, into one new array, and return it."""
+    store = np.concatenate([np.empty(0)] + [p.data.ravel() for p in params])
+    offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
+    for p, offset in zip(params, offsets):
+        p.store, p.offset = store, offset
+        p.data = p.slot(store)
+    return store
 
 
 def as_tensor(x) -> Tensor:
@@ -141,32 +159,17 @@ class Tape:
             backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and propagate adjoints through the
-        recorded ops in reverse. Each Parameter reached gets `grad` set to its
-        summed adjoint; no other tensor keeps one.
-
-        Ownership: each `grad` set here is an array that owns its memory
-        and that no other Parameter's `grad` is or views, so an optimizer
-        may overwrite it. An adjoint is copied only when it is a view
-        (`reshape`'s, `concat`'s split, a conv weight gradient's reshape)
-        or was already handed to another Parameter in this pass (`add`
-        hands one `g` to both parents).
-
-        Each node is popped off the tape as the walk reaches it, so the tape
-        releases the buffers its backward closure holds during the walk, and
-        a consumed tape holds nothing. A second call still raises
-        GraphError.
-
-        Finite checks: each Parameter's summed adjoint is checked once, after
-        the walk, and `grad` is set only if every one is finite (otherwise
-        NonFiniteError, and no gradient of this pass is set). Intermediate
-        adjoints are not checked: every backward closure carries NaN and ±inf
-        through (products, sums, `einsum`, scatters), so a non-finite adjoint
-        either reaches a Parameter's gradient or reaches nothing that is
-        read. Forward outputs, by contrast, stay checked per op (`Tensor`):
-        `relu` maps -inf to 0, `sigmoid` saturates ±inf and `maxpool2` drops a
-        -inf that is not its window's maximum, so a check deferred past them
-        would let an overflow pass silently."""
+        """Seed d(loss)/d(loss) = 1 and propagate adjoints in reverse,
+        popping each node as the walk reaches it (a consumed tape holds
+        nothing; a second call raises GraphError). Each store reached gets
+        one fresh flat gradient: a Parameter's first adjoint is copied into
+        its slice, later ones are added in arrival order, and `grad` is that
+        slice; no unreached slice is read. After the walk each flat gradient
+        (each reached slice, if the store was reached in part) is checked
+        finite once, and no `grad` is set unless all pass. Intermediate
+        adjoints are not checked: closures carry NaN and ±inf through to a
+        gradient or to nothing read, while `relu`, `sigmoid` and `maxpool2`
+        can drop an overflow, so forward outputs stay checked per op."""
         if self._consumed:
             raise GraphError("tape already consumed by a previous backward")
         if not self._nodes:
@@ -176,7 +179,8 @@ class Tape:
         self._consumed = True
 
         adjoints = {loss.key: np.ones_like(loss.data)}
-        reached = {}
+        slots = {}   # Parameter -> its view of its store's flat gradient
+        flats = {}   # id(store) -> the store's flat gradient of this pass
         nodes = self._nodes
         while nodes:
             out, parents, fn = nodes.pop()
@@ -186,20 +190,22 @@ class Tape:
             for parent, pg in zip(parents, fn(g)):
                 if pg is None:
                     continue
-                if isinstance(parent, Parameter):
-                    key = parent.key
-                    reached[key] = parent
+                if not isinstance(parent, Parameter):
+                    if parent in adjoints:
+                        pg = adjoints[parent] + pg
+                    adjoints[parent] = pg
+                elif parent in slots:
+                    np.add(slots[parent], pg, out=slots[parent])
                 else:
-                    key = parent
-                if key in adjoints:
-                    pg = adjoints[key] + pg
-                adjoints[key] = pg
-        for key in reached:
-            check_finite(adjoints[key], "gradient")
-        handed = set()
-        for key, parameter in reached.items():
-            g = adjoints[key]
-            if g.base is not None or id(g) in handed:
-                g = g.copy()
-            handed.add(id(g))
-            parameter.grad = g
+                    key = id(parent.store)
+                    if key not in flats:
+                        flats[key] = np.empty(parent.store.size)
+                    slots[parent] = parent.slot(flats[key])
+                    slots[parent][...] = pg
+        for key, flat in flats.items():
+            views = [v for p, v in slots.items() if id(p.store) == key]
+            whole = sum(v.size for v in views) == flat.size
+            for part in [flat] if whole else views:
+                check_finite(part, "gradient")
+        for parameter, slot in slots.items():
+            parameter.grad = slot

@@ -73,7 +73,7 @@ class RunConfig:
     validation_fraction: float = within(0, 1, default=0.2)
     probe_size: int = at_least(1, default=512)
     early_stop: bool = False
-    early_stop_delta: float = 0.005
+    early_stop_delta: float = at_least(0, default=0.005)
     early_stop_patience: int = at_least(1, default=3)
     seed: int = at_least(0, default=0)
     deterministic: bool = True

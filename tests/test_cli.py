@@ -150,6 +150,7 @@ def test_run_missing_config_file(tmp_path):
     ({"learning_rate": float("inf")}, "field learning_rate must be finite"),
     ({"early_stop_delta": float("nan")},
      "field early_stop_delta must be finite"),
+    ({"early_stop_delta": -0.01}, "early_stop_delta must be >= 0, got -0.01"),
     ({"lr_milestones": [0.5, float("nan")]},
      "field lr_milestones[1] must be finite"),
     ({"dataset": dict(TOY_CONFIG["dataset"], n_train=-5)},
@@ -186,6 +187,7 @@ def test_run_missing_config_file(tmp_path):
         "negative fine-tune attacker epochs", "negative lam", "negative tau",
         "negative seed", "one training row", "nan lam", "infinite epochs",
         "nan beta", "infinite learning rate", "nan early-stop delta",
+        "negative early-stop delta",
         "nan milestone", "negative dataset count", "nan dataset std",
         "zero hidden width", "negative hidden width", "zero cnn kernel",
         "zero cnn channels", "flat cnn input", "cnn side not divisible",
@@ -442,6 +444,23 @@ def test_attack_eval_runtime_overflow_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == ("error: non-finite values in "
                                        "tensor data\n")
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_run_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
+                                                        where):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(TOY_CONFIG))
+    existing = tmp_path / "taken"
+    existing.write_text("not a directory\n")
+    out_dir = existing if where == "a file" else existing / "sub"
+    code = main(["run", "--config", str(config_path), "--out-dir",
+                 str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir) in err
+    assert existing.read_text() == "not a directory\n"
+    assert not (tmp_path / "taken" / "sub").exists()
 
 
 def test_cli_overrides_seed_and_out_dir(tmp_path):

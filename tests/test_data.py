@@ -227,6 +227,27 @@ def test_csv_bad_cell_names_row_and_column(tmp_path):
                       "seed": 0})
 
 
+def test_csv_first_row_with_a_number_is_data_not_a_header(tmp_path):
+    # row 1 used to be dropped as a header because one cell failed to parse
+    path = tmp_path / "headerless.csv"
+    path.write_text("1.0,abc,0\n1.5,2.5,1\n2.0,3.0,0\n2.5,3.5,1\n")
+    with pytest.raises(ValueError, match="row 1, column 2: cannot parse "
+                                         "'abc' as a number"):
+        load_dataset({"kind": "csv", "path": str(path), "test_fraction": 0.5,
+                      "seed": 0})
+
+
+@pytest.mark.parametrize("header", ["f1,f2,label", ""])
+def test_csv_row_1_is_a_header_only_when_no_cell_is_a_number(tmp_path,
+                                                             header):
+    path = tmp_path / "data.csv"
+    rows = ["1.0,2.0,0", "1.5,2.5,1", "2.0,3.0,0", "2.5,3.5,1"]
+    path.write_text("\n".join(([header] if header else []) + rows) + "\n")
+    train, test = load_dataset({"kind": "csv", "path": str(path),
+                                "test_fraction": 0.5, "seed": 0})
+    assert len(train) + len(test) == 4
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
 def test_csv_non_finite_cell_rejected(tmp_path, cell):
     path = tmp_path / "inf.csv"

@@ -504,20 +504,26 @@ def test_run_compression_builds_one_candidate_at_a_time(monkeypatch):
     (TargetSpec(kind="cnn", input_shape=(1, 4, 4), classes=3,
                 channels=(2, 4), kernel=3), "whitebox", 16),
 ], ids=["mlp-blackbox", "cnn-whitebox"])
-def test_every_backward_pass_hands_out_gradients_of_their_own(
+def test_every_backward_pass_sets_gradients_as_views_of_one_flat_gradient(
         monkeypatch, target, mode, dim):
     real = Tape.backward
-    ranks = set()  # the ranks of the gradients handed out
+    ranks = set()  # the ranks of the gradients set
 
     def spy(tape, loss):
         params = {p.key: p for _, parents, _ in tape._nodes
                   for p in parents if isinstance(p, Parameter)}
         real(tape, loss)
-        grads = [p.grad for p in params.values()]
-        assert grads and all(g.base is None for g in grads)
-        assert not any(np.shares_memory(g, h)
-                       for i, g in enumerate(grads) for h in grads[i + 1:])
-        ranks.update(g.ndim for g in grads)
+        flats = {}  # id(store) -> the flat gradient of this pass
+        for p in params.values():
+            flat = flats.setdefault(id(p.store), p.grad.base)
+            assert p.grad.base is flat and flat.shape == p.store.shape
+            assert p.grad.shape == p.data.shape
+            assert (p.grad.ctypes.data
+                    == flat.ctypes.data + flat.itemsize * p.offset)
+        assert flats and not any(np.shares_memory(f, g) for i, f in
+                                 enumerate(flats.values())
+                                 for g in list(flats.values())[i + 1:])
+        ranks.update(p.grad.ndim for p in params.values())
 
     monkeypatch.setattr(Tape, "backward", spy)
     config = toy_config(target=target, attacker_mode=mode,
@@ -526,8 +532,7 @@ def test_every_backward_pass_hands_out_gradients_of_their_own(
                              "n_test": 64, "dim": dim, "seed": 5})
     _, reports = run_compression(config, datasets)
     assert reports
-    # the CNN run hands out conv2d (rank 4) and conv1d (rank 3) weight
-    # gradients, which reach backward as reshaped views
+    # the CNN run reaches conv2d (rank 4) and conv1d (rank 3) weights
     assert ranks == ({1, 2} if mode == "blackbox" else {1, 2, 3, 4})
 
 
