@@ -30,6 +30,7 @@ from .orchestrator import (
     RngTree,
     RunConfig,
     check_dataset_fits,
+    finetune_steps,
     run_compression,
 )
 from .report import pretty_table, read_report, summary_record, write_record
@@ -50,6 +51,7 @@ def cmd_run(args) -> int:
             config = dataclasses.replace(config, deterministic=True)
         datasets = load_dataset(dataset)
         check_dataset_fits(config.target, datasets)
+        finetune_steps(config, len(datasets[0]))
         out_dir = Path(out_dir if args.out_dir is None else args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.jsonl"
@@ -175,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     run_p.add_argument("--deterministic", action="store_true",
                        help="record wall_time_s as 0 so reruns are "
-                            "byte-identical")
+                            "byte-identical; the default, so this only "
+                            "overrides a config that sets deterministic "
+                            "false")
     run_p.add_argument("--out-dir", default=None,
                        help="override the config output directory")
     run_p.set_defaults(func=cmd_run)

@@ -115,6 +115,20 @@ def _steps_per_epoch(n: int, batch_size: int) -> int:
     return max(1, n // min(batch_size, n))
 
 
+def finetune_steps(config: RunConfig, n: int) -> int:
+    """The optimizer steps of each candidate fine-tune on `n` training rows.
+    A positive `candidate_finetune_epochs` that rounds to no step is
+    rejected: its epochs would be counted, but nothing would train."""
+    per_epoch = _steps_per_epoch(n, config.batch_size)
+    steps = int(round(config.candidate_finetune_epochs * per_epoch))
+    if steps == 0 and config.candidate_finetune_epochs > 0:
+        raise ValueError(
+            f"candidate_finetune_epochs {config.candidate_finetune_epochs} "
+            f"rounds to 0 of the {per_epoch} steps per epoch on {n} "
+            f"training rows; set it to 0 or raise it")
+    return steps
+
+
 def learning_rate_at(config: RunConfig, epoch: int) -> float:
     """Step decay: `learning_rate` times `lr_decay` once per distinct
     milestone epoch `floor(fraction * total_epochs)` in [1, epoch]. Small
@@ -248,6 +262,7 @@ class _Run:
     probe_y: np.ndarray
     seq: RngTree
     planned: int
+    finetune_steps: int
     span_epochs: float
     per_iteration_epochs: float
     initial_active: int
@@ -297,13 +312,11 @@ def _run_iteration(run: _Run, iteration: int, model, attacker, tau,
         prune_rate=rate, tau=tau)
     del gradients
     job_rngs = [seq.next() for _ in candidates]
-    steps = int(round(config.candidate_finetune_epochs * _steps_per_epoch(
-        len(run.train_set), config.batch_size)))
     epoch_base = cumulative + run.span_epochs
 
     def fine_tuned(cand, stream):
-        return train_phase(cand, run.train_set, steps, config, stream,
-                           epoch_base=epoch_base)
+        return train_phase(cand, run.train_set, run.finetune_steps, config,
+                           stream, epoch_base=epoch_base)
 
     scores, leader = [], None
     for (pair, update, tune), job in zip(candidates, job_rngs):
@@ -371,6 +384,7 @@ def run_compression(config: RunConfig,
         config=config, train_set=train_set, splits=splits, val_set=val_set,
         probe_x=train_set.x[:probe], probe_y=train_set.y[:probe], seq=seq,
         planned=max(1, math.ceil(config.total_epochs / per_iteration_epochs)),
+        finetune_steps=finetune_steps(config, n),
         span_epochs=span_epochs, per_iteration_epochs=per_iteration_epochs,
         initial_active=active_count(model))
 

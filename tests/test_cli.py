@@ -92,11 +92,13 @@ def test_run_missing_omega_exact_message(tmp_path, capsys):
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
-    doc = dict(TOY_CONFIG, omeag=1)
+    out_dir = tmp_path / "out"
+    doc = dict(TOY_CONFIG, omeag=1, out_dir=str(out_dir))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path)]) == 2
     assert "unknown field: omeag" in capsys.readouterr().err
+    assert not (out_dir / "report.jsonl").exists()
 
 
 def test_run_missing_config_file(tmp_path):
@@ -176,6 +178,10 @@ def test_run_missing_config_file(tmp_path):
     ({"pairs": ["magnitude:random"] * 4},
      "field pairs must be distinct, but magnitude:random appears more than "
      "once"),
+    # 128 rows at batch 32 are 4 steps per epoch, and round(0.4) is 0
+    ({"candidate_finetune_epochs": 0.1},
+     "candidate_finetune_epochs 0.1 rounds to 0 of the 4 steps per epoch on "
+     "128 training rows; set it to 0 or raise it"),
 ], ids=["wrong type", "missing csv", "width", "labels", "string number",
         "float integer", "string boolean", "target string integer",
         "integer pair tag", "string milestone", "float hidden width",
@@ -191,7 +197,8 @@ def test_run_missing_config_file(tmp_path):
         "nan milestone", "negative dataset count", "nan dataset std",
         "zero hidden width", "negative hidden width", "zero cnn kernel",
         "zero cnn channels", "flat cnn input", "cnn side not divisible",
-        "zero early-stop patience", "repeated pair"])
+        "zero early-stop patience", "repeated pair",
+        "fine-tune of no step"])
 def test_run_configuration_errors_exit_2(tmp_path, capsys, change, message):
     out_dir = tmp_path / "out"
     doc = dict(TOY_CONFIG, out_dir=str(out_dir), **change)

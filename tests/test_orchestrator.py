@@ -548,12 +548,20 @@ def test_run_compression_single_span_budget():
 
 def test_run_compression_runs_exactly_the_planned_iterations():
     # ten iterations of 0.1 epochs spend the 1.0 budget; summing 0.1 ten
-    # times in floating point falls just short of 1.0
+    # times in floating point falls just short of 1.0. 320 rows at batch 32
+    # make 0.1 epochs one step
     config = toy_config(inner_iterations=0, candidate_finetune_epochs=0.1,
                         total_epochs=1.0)
-    datasets = toy_data(seed=9, n_train=160, n_test=80)
+    datasets = toy_data(seed=9, n_train=320, n_test=80)
     _, reports = run_compression(config, datasets)
     assert len(reports) == 10
+
+
+def test_run_compression_rejects_a_finetune_of_no_step():
+    # 160 rows at batch 32 are 5 steps per epoch, and round(0.5) is 0
+    config = toy_config(inner_iterations=30, candidate_finetune_epochs=0.1)
+    with pytest.raises(ValueError, match="rounds to 0 of the 5 steps"):
+        run_compression(config, toy_data(seed=9, n_train=160, n_test=80))
 
 
 def test_run_compression_deterministic_repeat():
